@@ -19,7 +19,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.bench.repeats import RepeatedStats
 
@@ -192,24 +192,3 @@ def _validate_cell(cell: object, seeds: object) -> List[str]:
                                     "to numbers")
     return problems
 
-
-def validate_baseline_dir(root: Union[str, Path],
-                          areas: Sequence[str] = SWEEP_AREAS) -> Dict[str, List[str]]:
-    """Validate every committed ``BENCH_<area>.json`` under ``root``."""
-    report: Dict[str, List[str]] = {}
-    for area in areas:
-        path = artifact_path(root, area)
-        if not path.exists():
-            report[area] = [f"{path.name}: missing"]
-            continue
-        try:
-            artifact = load_sweep_artifact(path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            report[area] = [f"{path.name}: unparseable ({exc})"]
-            continue
-        problems = validate_sweep_artifact(artifact)
-        if isinstance(artifact, dict) and artifact.get("area") not in (None, area):
-            problems.append(f"area {artifact.get('area')!r} does not match "
-                            f"file name {path.name}")
-        report[area] = [f"{path.name}: {p}" for p in problems]
-    return report

@@ -8,15 +8,18 @@ its own resource lane by :class:`repro.simtime.LaneScheduler` — sampling
 and H2D copy overlap GPU compute exactly as the paper's prefetching case
 study describes.
 
-``pipeline="off"`` keeps the legacy serial schedule; ``"depth-N"`` allows
-N items in flight (depth-1 *is* the serial schedule, expressed on lanes).
+``pipeline="off"`` keeps the legacy serial training schedule; ``"depth-N"``
+allows N items in flight (depth-1 *is* the serial schedule, expressed on
+lanes).  Layer-wise inference and the serving engine run on the same
+:func:`run_epoch` loop, with ``off`` meaning depth 1.
 """
 
 from repro.datapipe.config import PipelineConfig, parse_pipeline
-from repro.datapipe.pipeline import EpochReport, Stage, run_epoch
+from repro.datapipe.pipeline import EndItem, EpochReport, Stage, run_epoch
 from repro.datapipe.staging import StagingPool
 
 __all__ = [
+    "EndItem",
     "EpochReport",
     "PipelineConfig",
     "Stage",

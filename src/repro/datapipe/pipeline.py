@@ -10,6 +10,13 @@ first stage cannot start before item ``i - depth``'s last stage finished
 — so ``depth-1`` reproduces the serial schedule exactly, and deeper
 queues hide sampling and H2D behind GPU compute.
 
+This is the repo's one lane-scheduling loop: mini-batch training,
+layer-wise inference and the online serving engine all run on it.  An
+item may carry a release time (``not_before``: an open-loop arrival
+cannot start before it arrives), and a stage fn may end its item early
+by returning :class:`EndItem` — the item's later stages are skipped and
+its last executed job is its terminal for the depth gate.
+
 The ``sampler.worker`` fault seam is honoured mid-pipeline: a crashed
 worker wastes ``severity`` of the stage's cost and pays the respawn
 backoff inside the affected job; past the policy's retry budget the
@@ -22,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import RecoveryExhausted
 from repro.hardware.machine import Machine
 from repro.resilience import runtime as resilience
 from repro.simtime import DeferredRecord, LaneJob, LaneScheduler
@@ -56,6 +62,17 @@ class Stage:
         return self.lanes[index % len(self.lanes)]
 
 
+@dataclass(frozen=True)
+class EndItem:
+    """Returned by a stage fn to end its item after that stage.
+
+    ``value`` becomes the item's output; no later stage runs or is
+    scheduled for the item.
+    """
+
+    value: Any = None
+
+
 @dataclass
 class EpochReport:
     """Outcome of one pipelined epoch."""
@@ -69,6 +86,10 @@ class EpochReport:
     degraded: bool = False
     jobs: List[LaneJob] = field(default_factory=list)
     lane_busy: Dict[str, float] = field(default_factory=dict)
+    #: Completion time of every item (its last scheduled job's end).
+    done_at: List[float] = field(default_factory=list)
+    #: Charged seconds per stage, summed over every scheduled job.
+    stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def overlap_seconds(self) -> float:
@@ -84,6 +105,7 @@ def run_epoch(
     *,
     limit: Optional[int] = None,
     extrapolate_to: int = 0,
+    not_before: Sequence[float] = (),
     label: str = "",
 ) -> EpochReport:
     """Stream ``source`` through ``stages`` with ``depth`` items in flight.
@@ -91,8 +113,10 @@ def run_epoch(
     At most ``limit`` items execute for real (the representative batches);
     when ``extrapolate_to`` exceeds the executed count, the remaining
     items are replayed symbolically through the same scheduler at the
-    measured mean per-stage cost, so extrapolated epochs respect the
-    same lane contention and backpressure as executed ones.
+    measured mean per-stage cost (through every stage), so extrapolated
+    epochs respect the same lane contention and backpressure as executed
+    ones.  ``not_before[i]``, when given, is item ``i``'s absolute release
+    time: its first job starts no earlier.
     """
     if depth < 1:
         raise ValueError("pipeline depth must be >= 1")
@@ -104,13 +128,17 @@ def run_epoch(
     for index, payload in enumerate(source):
         if limit is not None and index >= limit:
             break
+        release = not_before[index] if index < len(not_before) else 0.0
         prev: Optional[LaneJob] = None
         first: Optional[LaneJob] = None
         for stage in stages:
             with clock.deferred() as rec:
                 payload = stage.fn(index, payload)
-            prev = state.schedule(stage, index, rec, prev)
+            prev = state.schedule(stage, index, rec, prev, release=release)
             first = first or prev
+            if isinstance(payload, EndItem):
+                payload = payload.value
+                break
         state.finish_item(first, prev)
         outputs.append(payload)
 
@@ -133,6 +161,8 @@ def run_epoch(
         degraded=state.degraded,
         jobs=list(sched.jobs),
         lane_busy=lane_busy,
+        done_at=[job.end for job in state.terminal],
+        stage_seconds=state.stage_seconds,
     )
 
 
@@ -149,12 +179,14 @@ class _EpochState:
         self.phase_jobs: List[Tuple[float, float, str]] = []
         #: Clean (pre-fault, post-scale) per-stage sums for extrapolation.
         self.stage_totals: Dict[str, float] = {}
+        self.stage_seconds: Dict[str, float] = {}
         self.stage_busy: Dict[str, Dict[str, float]] = {}
         self.stage_waits: Dict[str, List[float]] = {}
 
     # ------------------------------------------------------------------
     def schedule(self, stage: Stage, index: int, rec: DeferredRecord,
-                 prev: Optional[LaneJob], symbolic: bool = False) -> LaneJob:
+                 prev: Optional[LaneJob], symbolic: bool = False,
+                 release: float = 0.0) -> LaneJob:
         scale = 1.0 if self.degraded else stage.scale
         clean = DeferredRecord(
             total=rec.total * scale,
@@ -174,12 +206,16 @@ class _EpochState:
         deps = (prev,) if prev is not None else ()
         not_before = 0.0
         eff_depth = 1 if self.degraded else self.depth
-        if prev is None and index >= eff_depth and self.terminal:
-            gate = min(index - eff_depth, len(self.terminal) - 1)
-            not_before = self.terminal[gate].end
+        if prev is None:
+            not_before = release
+            if index >= eff_depth and self.terminal:
+                gate = min(index - eff_depth, len(self.terminal) - 1)
+                not_before = max(not_before, self.terminal[gate].end)
         lane = stage.lanes[0] if self.degraded else stage.lane_for(index)
         job = self.sched.submit(lane, record, deps=deps, not_before=not_before,
                                 tag=f"datapipe:{stage.name}")
+        seconds = self.stage_seconds
+        seconds[stage.name] = seconds.get(stage.name, 0.0) + job.total
         self.phase_jobs.append((job.start, job.end, stage.phase))
         self.stage_waits.setdefault(stage.name, []).append(job.wait)
         if not symbolic:
@@ -205,37 +241,23 @@ class _EpochState:
     # ------------------------------------------------------------------
     def _survive_faults(self, stage: Stage,
                         clean: DeferredRecord) -> DeferredRecord:
-        """Apply the stage's fault seam to one execution's charged cost."""
-        injector = resilience.active()
-        if injector is None:
-            return clean
-        site = stage.fault_site
-        policy = injector.policy(site)
-        cpu_name = self.machine.cpu.name
-        wasted = 0.0
-        delay = 0.0
-        crashes = 0
-        while True:
-            fault = injector.arm(site)
-            if fault is None or fault.kind != "crash":
-                break
-            crashes += 1
-            injector.record_injected(site, "crash")
-            wasted += clean.total * fault.severity
-            delay += injector.backoff_delay(site, crashes)
-            if crashes > policy.max_retries:
-                if policy.degrade:
-                    self.degraded = True
-                    injector.record_degraded(site)
-                    injector.record_recovered(site, action="degrade")
-                    break
-                raise RecoveryExhausted(site, crashes)
-            injector.record_retry(site)
-            injector.record_recovered(site, action="respawn")
+        """Apply the stage's fault seam to one execution's charged cost.
+
+        Every crash's wasted CPU time and respawn backoff land inside the
+        affected job, delaying the item on its own lane.
+        """
+        lost: List[Tuple[float, float]] = []
+        if resilience.survive_worker_crashes(
+                stage.fault_site, clean.total,
+                lambda attempt, wasted, delay: lost.append((wasted, delay))):
+            self.degraded = True
+        wasted = sum(w for w, _ in lost)
+        delay = sum(d for _, d in lost)
         if wasted <= 0 and delay <= 0:
             return clean
         busy = dict(clean.busy)
         if wasted > 0:
+            cpu_name = self.machine.cpu.name
             busy[cpu_name] = busy.get(cpu_name, 0.0) + wasted
         return DeferredRecord(total=clean.total + wasted + delay, busy=busy)
 

@@ -17,7 +17,7 @@ ledger peak therefore reflects the true in-flight concurrency.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.hardware.machine import Machine
 from repro.hardware.memory import Allocation
@@ -40,10 +40,6 @@ class StagingPool:
     @property
     def live_host_bytes(self) -> int:
         return sum(a.nbytes for a in self._host.values())
-
-    @property
-    def live_gpu_bytes(self) -> int:
-        return sum(a.nbytes for a in self._gpu.values())
 
     @property
     def live_items(self) -> int:

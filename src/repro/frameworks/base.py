@@ -9,8 +9,8 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -59,9 +59,6 @@ class FrameworkGraph:
     @property
     def num_edges(self) -> int:
         return self.graph.num_edges
-
-    def label_nbytes_per_node(self) -> float:
-        return 4.0 * self.labels.shape[1] if self.labels.ndim == 2 else 8.0
 
     def preload_to_gpu(self) -> None:
         """Copy the full graph + features to GPU upfront (case study 1).

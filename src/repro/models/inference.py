@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.datapipe import Stage, StagingPool, parse_pipeline, run_epoch
 from repro.errors import BenchmarkError
 from repro.frameworks.base import Framework, FrameworkGraph
 from repro.graph.formats import INDEX_DTYPE, gather_neighborhoods
@@ -56,67 +57,36 @@ def layerwise_inference(
 
     ``batch_nodes`` is the *paper-scale* number of output rows per chunk;
     it is shrunk by the dataset's node scale like every other batch knob.
-    ``pipeline`` (``off`` or ``depth-N``) streams the chunks of each
-    layer through the datapipe lane scheduler, overlapping feature
-    staging and PCIe copies with the previous chunk's compute; the layer
-    boundary stays a barrier (layer ``i+1`` reads every chunk of layer
-    ``i``).  Logits are bit-identical in both modes.
+    The chunks of each layer stream through the datapipe
+    (:func:`repro.datapipe.run_epoch`); ``pipeline="depth-N"`` keeps N
+    chunks in flight, overlapping feature staging and PCIe copies with
+    the previous chunk's compute, and ``off`` runs at depth 1 (the serial
+    schedule).  The layer boundary stays a barrier (layer ``i+1`` reads
+    every chunk of layer ``i``).  Logits are bit-identical at every depth.
     """
-    from repro.datapipe.config import parse_pipeline
-
     if not hasattr(model, "_layers"):
         raise BenchmarkError("layerwise_inference needs a layered model")
-    machine = fgraph.machine
-    target = machine.device(device)
-    profiler = profiler or PhaseProfiler(machine.clock)
-    graph = fgraph.graph
-    actual_chunk = max(1, int(round(batch_nodes / graph.node_scale)))
-    depth = parse_pipeline(pipeline).depth
+    target = fgraph.machine.device(device)
+    profiler = profiler or PhaseProfiler(fgraph.machine.clock)
+    actual_chunk = max(1, int(round(batch_nodes / fgraph.graph.node_scale)))
+    depth = max(1, parse_pipeline(pipeline).depth)
 
     model.eval()
     layers = list(model._layers)
     x_host = fgraph.features.data
     with no_grad():
         for i, layer in enumerate(layers):
-            if depth > 0:
-                x_host = _pipelined_layer(
-                    framework, fgraph, layer, x_host, target,
-                    actual_chunk, depth, profiler,
-                    apply_relu=i < len(layers) - 1,
-                )
-                continue
-            outputs = []
-            for start in range(0, graph.num_nodes, actual_chunk):
-                rows = np.arange(start, min(start + actual_chunk,
-                                            graph.num_nodes))
-                # Block: all in-edges of this chunk's rows.
-                block = _chunk_block(graph, rows, target)
-                with profiler.phase("data_movement"), framework.activate():
-                    x_in = Tensor(x_host[block_src_nodes(block, rows)],
-                                  device=machine.cpu,
-                                  work_scale=graph.node_scale)
-                    if target.kind == "gpu":
-                        x_in = to_device(x_in, target, machine.pcie,
-                                         tag="inference-features")
-                with profiler.phase("training"), framework.activate():
-                    out = layer(block, x_in)
-                    if i < len(layers) - 1:
-                        out = F.relu(out)
-                if target.kind == "gpu":
-                    with profiler.phase("data_movement"):
-                        machine.pcie.d2h(out.logical_nbytes,
-                                         tag="inference-outputs")
-                outputs.append(out.data)
-            x_host = np.concatenate(outputs, axis=0)
+            x_host = _inference_layer(
+                framework, fgraph, layer, x_host, target,
+                actual_chunk, depth, profiler,
+                apply_relu=i < len(layers) - 1,
+            )
     return InferenceResult(logits=x_host, phases=profiler.snapshot())
 
 
-def _pipelined_layer(framework, fgraph, layer, x_host, target,
+def _inference_layer(framework, fgraph, layer, x_host, target,
                      actual_chunk, depth, profiler, apply_relu):
     """One GNN layer's chunks streamed through the datapipe scheduler."""
-    from repro.datapipe.pipeline import Stage, run_epoch
-    from repro.datapipe.staging import StagingPool
-
     machine = fgraph.machine
     graph = fgraph.graph
     on_gpu = target.kind == "gpu"
@@ -125,7 +95,7 @@ def _pipelined_layer(framework, fgraph, layer, x_host, target,
     def fetch(index, rows):
         block = _chunk_block(graph, rows, target)
         with framework.activate():
-            x_in = Tensor(x_host[block_src_nodes(block, rows)],
+            x_in = Tensor(x_host[block.src_nodes],
                           device=machine.cpu, work_scale=graph.node_scale)
         pool.stage_host(index, x_in.logical_nbytes)
         return block, x_in
@@ -147,18 +117,15 @@ def _pipelined_layer(framework, fgraph, layer, x_host, target,
         return out
 
     def d2h(index, out):
-        machine.pcie.d2h(out.logical_nbytes, tag="inference-outputs")
+        if on_gpu:
+            machine.pcie.d2h(out.logical_nbytes, tag="inference-outputs")
         return out.data
 
     stages = [Stage("fetch", "data_movement", fn=fetch, lanes=("fetch",))]
     if on_gpu:
         stages.append(Stage("h2d", "data_movement", fn=h2d, lanes=("h2d",)))
     stages.append(Stage("compute", "training", fn=compute, lanes=("train",)))
-    if on_gpu:
-        stages.append(Stage("d2h", "data_movement", fn=d2h, lanes=("d2h",)))
-    else:
-        stages.append(Stage("d2h", "data_movement",
-                            fn=lambda i, out: out.data, lanes=("d2h",)))
+    stages.append(Stage("d2h", "data_movement", fn=d2h, lanes=("d2h",)))
 
     source = (np.arange(start, min(start + actual_chunk, graph.num_nodes))
               for start in range(0, graph.num_nodes, actual_chunk))
@@ -193,11 +160,6 @@ def _chunk_block(graph, rows: np.ndarray, device) -> SparseAdj:
         node_scale=graph.node_scale, edge_scale=graph.edge_scale)
     adj.src_nodes = src_nodes  # stashed for feature lookup
     return adj
-
-
-def block_src_nodes(block: SparseAdj, rows: np.ndarray) -> np.ndarray:
-    """Global feature rows needed by a chunk block."""
-    return block.src_nodes
 
 
 def batch_blocks(graph, nodes: np.ndarray, num_layers: int, device) -> list:

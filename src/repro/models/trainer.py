@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.datapipe.config import parse_pipeline, validate_pipeline_placement
-from repro.errors import BenchmarkError, RecoveryExhausted
+from repro.errors import BenchmarkError
 from repro.frameworks.base import Framework, FrameworkBatch, FrameworkGraph
 from repro.hardware.machine import Machine
 from repro.kernels.transfer import adj_to_device, to_device
@@ -27,9 +27,24 @@ from repro.telemetry import runtime as telemetry
 from repro.telemetry.runtime import maybe_span
 from repro.tensor.module import Module
 from repro.tensor.optim import Adam
-from repro.tensor.tensor import Tensor
 
 PLACEMENTS = ("cpu", "cpugpu", "gpu", "uvagpu")
+
+
+def _physical_cores(machine: Machine) -> int:
+    spec = machine.cpu.spec
+    return getattr(spec, "cores_per_socket", 10) * getattr(spec, "sockets", 1)
+
+
+def sampler_speedup(machine: Machine, workers: int) -> float:
+    """Effective sampling parallelism of ``workers`` sampler workers.
+
+    Sublinear (85% scaling per doubling), capped at the physical cores so
+    oversubscription cannot fabricate speedup.
+    """
+    if workers <= 1:
+        return 1.0
+    return min(float(_physical_cores(machine)), workers ** 0.85)
 
 
 @dataclass(frozen=True)
@@ -230,17 +245,8 @@ class MiniBatchTrainer:
         batch.x = to_device(batch.x, gpu, None)  # bytes already charged
 
     def worker_speedup(self) -> float:
-        """Effective sampling parallelism from ``num_workers``.
-
-        Sublinear (85% scaling per doubling), capped at the physical
-        cores so oversubscription cannot fabricate speedup.
-        """
-        w = self.config.num_workers
-        if w <= 1:
-            return 1.0
-        cores = getattr(self.machine.cpu.spec, "cores_per_socket", 10) * \
-            getattr(self.machine.cpu.spec, "sockets", 1)
-        return min(float(cores), w ** 0.85)
+        """Effective sampling parallelism from ``num_workers``."""
+        return sampler_speedup(self.machine, self.config.num_workers)
 
     def _sample_with_workers(self, batch_iter, prev_train_dt: float,
                              phase_usage, phase_wall):
@@ -303,49 +309,30 @@ class MiniBatchTrainer:
                                 inline_total: float) -> float:
         """The ``sampler.worker`` fault site: crashed sampling workers.
 
-        Arms once per respawn attempt.  Each crash wastes ``severity`` of
-        the parallel sampling cost, pays the policy's backoff as respawn
-        latency, and re-runs; past ``max_retries`` crashes the pool is
-        torn down for the rest of the run (graceful degradation to inline
-        sampling) when the policy allows it.  Returns the sampling cost
-        the caller should charge.  All recovery time lands in the
-        "sampling" phase but outside the per-batch usage window, so
-        extrapolated batches are not billed for it.
+        Runs the shared crash-survival loop
+        (:func:`repro.resilience.runtime.survive_worker_crashes`) over the
+        parallel sampling cost.  Each crash's wasted CPU time and respawn
+        backoff are charged here, in the "sampling" phase but outside the
+        per-batch usage window, so extrapolated batches are not billed for
+        them.  Returns the sampling cost the caller should charge: the
+        inline cost once the pool has been torn down.
         """
-        injector = resilience.active()
-        if injector is None:
-            return effective
         clock = self.machine.clock
-        policy = injector.policy("sampler.worker")
         cpu_name = self.machine.cpu.name
-        crashes = 0
-        while True:
-            fault = injector.arm("sampler.worker")
-            if fault is None or fault.kind != "crash":
-                break
-            crashes += 1
-            injector.record_injected("sampler.worker", "crash")
-            wasted = effective * fault.severity
-            delay = injector.backoff_delay("sampler.worker", crashes)
+
+        def charge(attempt: int, wasted: float, delay: float) -> None:
             with self.profiler.phase("sampling"), \
                     maybe_span("recover.respawn", category="resilience",
-                               attempt=crashes, wasted_seconds=wasted):
+                               attempt=attempt, wasted_seconds=wasted):
                 if wasted > 0:
                     clock.occupy(cpu_name, wasted, tag="sampling-worker-crash")
                 if delay > 0:
                     clock.advance(delay)  # worker respawn latency
-            if crashes > policy.max_retries:
-                if policy.degrade:
-                    self._workers_degraded = True
-                    injector.record_degraded("sampler.worker")
-                    injector.record_recovered("sampler.worker",
-                                              action="degrade")
-                    return inline_total
-                raise RecoveryExhausted("sampler.worker", crashes)
-            # Each crash is cleared by one respawn; a pool that keeps
-            # crashing re-arms fresh occurrences until it degrades.
-            injector.record_retry("sampler.worker")
-            injector.record_recovered("sampler.worker", action="respawn")
+
+        if resilience.survive_worker_crashes("sampler.worker", effective,
+                                             charge):
+            self._workers_degraded = True
+            return inline_total
         return effective
 
     def _movement_seconds(self, batch: FrameworkBatch) -> float:
@@ -402,10 +389,8 @@ class MiniBatchTrainer:
         """
         config = self.config
         depth = config.pipeline_depth
-        cores = getattr(self.machine.cpu.spec, "cores_per_socket", 10) * \
-            getattr(self.machine.cpu.spec, "sockets", 1)
         workers = config.num_workers if config.num_workers > 0 else depth
-        return max(1, min(workers, depth, int(cores)))
+        return max(1, min(workers, depth, _physical_cores(self.machine)))
 
     def _pipeline_inflation(self, workers: int) -> float:
         """Per-job cost inflation preserving the sublinear worker model.
@@ -415,12 +400,7 @@ class MiniBatchTrainer:
         doubling): each job is stretched by ``workers / speedup`` so the
         pool's effective rate stays sublinear.
         """
-        if workers <= 1:
-            return 1.0
-        cores = getattr(self.machine.cpu.spec, "cores_per_socket", 10) * \
-            getattr(self.machine.cpu.spec, "sockets", 1)
-        speedup = min(float(cores), workers ** 0.85)
-        return workers / speedup
+        return workers / sampler_speedup(self.machine, workers)
 
     def _batch_staging_bytes(self, batch: FrameworkBatch) -> float:
         """Logical bytes one in-flight batch pins (structure + x + y)."""

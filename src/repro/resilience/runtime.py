@@ -67,6 +67,43 @@ def arm(site: str) -> Optional[FaultSpec]:
     return _STACK[-1].arm(site)
 
 
+def survive_worker_crashes(site: str, cost: float,
+                           charge: Callable[[int, float, float], None]) -> bool:
+    """Run a worker pool's crash-survival loop at ``site``.
+
+    Arms once per respawn attempt.  Each crash wastes ``severity`` of
+    ``cost`` and pays the policy's backoff as respawn latency; the caller
+    decides where that time lands via ``charge(attempt, wasted, delay)``,
+    called once per crash.  Past ``max_retries`` crashes the pool is torn
+    down: returns True (degrade to inline work) when the policy allows
+    it, else raises :class:`RecoveryExhausted`.  Returns False when the
+    pool survives (or injection is off).
+    """
+    injector = _STACK[-1] if _STACK else None
+    if injector is None:
+        return False
+    policy = injector.policy(site)
+    crashes = 0
+    while True:
+        fault = injector.arm(site)
+        if fault is None or fault.kind != "crash":
+            return False
+        crashes += 1
+        injector.record_injected(site, "crash")
+        charge(crashes, cost * fault.severity,
+               injector.backoff_delay(site, crashes))
+        if crashes > policy.max_retries:
+            if policy.degrade:
+                injector.record_degraded(site)
+                injector.record_recovered(site, action="degrade")
+                return True
+            raise RecoveryExhausted(site, crashes)
+        # Each crash is cleared by one respawn; a pool that keeps
+        # crashing re-arms fresh occurrences until it degrades.
+        injector.record_retry(site)
+        injector.record_recovered(site, action="respawn")
+
+
 def with_retries(site: str, clock: VirtualClock,
                  attempt: Callable[[], T]) -> T:
     """Run ``attempt`` under the site's bounded-retry policy.

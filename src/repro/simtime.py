@@ -17,11 +17,9 @@ Multi-lane schedules (the streaming datapipe) are built with
 gets its own timeline, jobs are placed at the max of their dependency
 finish times and their lane's front, and ``drain()`` commits the busy
 intervals and advances the machine clock once to the latest lane front —
-replacing per-call serial ``advance()`` on the hot path.
-
-The legacy *async overlap window* (``overlap()``: charge the maximum of
-the overlapped durations) is kept as a thin compatibility shim over the
-lane scheduler; new code should schedule lanes explicitly.
+replacing per-call serial ``advance()`` on the hot path.  The one loop
+that builds lane schedules is :func:`repro.datapipe.run_epoch`: training,
+layer-wise inference and the serving engine all run on it.
 """
 
 from __future__ import annotations
@@ -72,8 +70,6 @@ class VirtualClock:
         self._starts: Dict[str, List[float]] = {}
         self._ends: Dict[str, List[float]] = {}
         self._cumdur: Dict[str, List[float]] = {}
-        self._overlap_depth: int = 0
-        self._overlap_sched: Optional["LaneScheduler"] = None
         self._listeners: List[Callable[[float, float], None]] = []
 
     @property
@@ -95,13 +91,6 @@ class VirtualClock:
         if self._defer_depth > 0:
             self._defer_record.total += dt
             return
-        if self._overlap_depth > 0:
-            # Inside an overlap window durations race: each advance is a
-            # job on its own anonymous lane, so the window's makespan is
-            # the longest duration (charged when the window closes).
-            sched = self._overlap_sched
-            sched.submit(f"overlap/{len(sched.jobs)}", dt)
-            return
         old = self._now
         self._now += dt
         for fn in self._listeners:
@@ -119,7 +108,7 @@ class VirtualClock:
         start = self._now
         # Record the interval before advancing so clock listeners (power
         # sampling) see the kernel that is causing this advance.
-        if dt > 0 and self._overlap_depth == 0:
+        if dt > 0:
             self._busy.append(BusyInterval(device, start, start + dt, tag))
             starts = self._starts.setdefault(device, [])
             ends = self._ends.setdefault(device, [])
@@ -196,38 +185,6 @@ class VirtualClock:
             starts.append(start)
             ends.append(self._now)
             cum.append(cum[-1] + dt)
-
-    @contextmanager
-    def overlap(self, device: str = "", tag: str = "overlap") -> Iterator[None]:
-        """Charge the *max* of the durations advanced inside the window.
-
-        .. deprecated::
-            ``overlap()`` predates :class:`LaneScheduler` and survives as a
-            thin compatibility shim over it: every ``advance`` inside the
-            window becomes a job on its own anonymous lane of a private
-            scheduler, and closing the window charges the scheduler's
-            makespan (= the longest duration, exactly the old semantics).
-            New code should build a :class:`LaneScheduler` with explicit
-            per-resource lanes instead.
-
-        Models asynchronous copy/compute overlap (DGL pre-fetching).  Nested
-        overlaps share one window.
-        """
-        self._overlap_depth += 1
-        if self._overlap_depth == 1:
-            self._overlap_sched = LaneScheduler(self)
-        try:
-            yield
-        finally:
-            self._overlap_depth -= 1
-            if self._overlap_depth == 0:
-                sched = self._overlap_sched
-                self._overlap_sched = None
-                dt = sched.makespan
-                if device:
-                    self.occupy(device, dt, tag)
-                else:
-                    self.advance(dt)
 
     def commit_interval(self, device: str, start: float, end: float,
                         tag: str = "", lane: str = "") -> None:
@@ -311,8 +268,6 @@ class VirtualClock:
         self._starts.clear()
         self._ends.clear()
         self._cumdur.clear()
-        self._overlap_depth = 0
-        self._overlap_sched = None
 
 
 @dataclass

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.datapipe import PipelineConfig, parse_pipeline, run_epoch
-from repro.datapipe.pipeline import Stage
+from repro.datapipe.pipeline import EndItem, Stage
 from repro.datapipe.staging import StagingPool
 from repro.errors import BenchmarkError, OutOfMemoryError, RecoveryExhausted
 from repro.frameworks import get_framework
@@ -21,7 +21,6 @@ from repro.models.trainer import MiniBatchTrainer, TrainConfig
 from repro.profiling.profiler import PhaseProfiler
 from repro.resilience import runtime as resilience
 from repro.resilience.plan import FaultPlan, FaultSpec, RecoveryPolicy
-from repro.simtime import LaneScheduler, VirtualClock
 
 
 def make_trainer(pipeline="off", placement="cpugpu", scale=0.3, reps=4,
@@ -212,6 +211,83 @@ class TestRunEpoch:
         assert sum(report.phases.values()) == pytest.approx(report.elapsed)
 
 
+def _three_stage(machine, end_after_copy=()):
+    """sample -> copy -> train; items in ``end_after_copy`` stop at copy."""
+    clock = machine.clock
+
+    def sample(i, x):
+        clock.occupy(machine.cpu.name, 0.02, tag="sample")
+        return x
+
+    def copy(i, x):
+        clock.occupy("pcie", 0.005, tag="copy")
+        return EndItem(-1) if i in end_after_copy else x
+
+    def train(i, x):
+        clock.occupy("gpu", 0.01, tag="train")
+        return x * 10
+
+    return [
+        Stage("sample", "sampling", fn=sample,
+              lanes=tuple(f"worker/{w}" for w in range(8))),
+        Stage("copy", "data_movement", fn=copy, lanes=("copy",)),
+        Stage("train", "training", fn=train, lanes=("train",)),
+    ]
+
+
+def _jobs_by_item(report):
+    """Split the job list per item (items execute sequentially)."""
+    items = []
+    for job in report.jobs:
+        if job.tag == "datapipe:sample":
+            items.append([])
+        items[-1].append(job)
+    return items
+
+
+class TestRunEpochItems:
+    def test_first_job_waits_for_release(self):
+        machine = paper_testbed()
+        release = [0.0, 0.001, 0.5, 0.5, 0.9, 2.0]
+        report = run_epoch(machine, _three_stage(machine), range(6),
+                           depth=2, not_before=release)
+        items = _jobs_by_item(report)
+        assert len(items) == 6
+        for jobs, at in zip(items, release):
+            assert jobs[0].start >= at
+        # Far past every earlier item's completion: the release binds.
+        assert items[5][0].start == 2.0
+
+    def test_ended_item_skips_later_stages_and_gates_on_last_job(self):
+        machine = paper_testbed()
+        report = run_epoch(machine, _three_stage(machine, end_after_copy={2}),
+                           range(6), depth=2)
+        assert report.outputs == [0, 10, -1, 30, 40, 50]
+        items = _jobs_by_item(report)
+        assert [len(jobs) for jobs in items] == [3, 3, 2, 3, 3, 3]
+        assert [j.tag for j in items[2]] == ["datapipe:sample",
+                                             "datapipe:copy"]
+        assert report.done_at[2] == items[2][-1].end
+        # Item 4 waits for item 2's terminal (its copy job), not a train
+        # job it never had; eight worker lanes keep the gate binding.
+        assert items[4][0].start == report.done_at[2]
+
+    def test_done_at_and_stage_seconds_match_jobs(self):
+        machine = paper_testbed()
+        report = run_epoch(machine, _three_stage(machine, end_after_copy={1}),
+                           range(10), depth=2, limit=3, extrapolate_to=6)
+        items = _jobs_by_item(report)
+        assert len(items) == len(report.done_at) == 6
+        assert report.done_at == [jobs[-1].end for jobs in items]
+        for name in ("sample", "copy", "train"):
+            charged = sum(j.total for j in report.jobs
+                          if j.tag == f"datapipe:{name}")
+            assert report.stage_seconds[name] == pytest.approx(charged,
+                                                               abs=1e-15)
+        assert sum(report.stage_seconds.values()) == pytest.approx(
+            sum(report.lane_busy.values()), abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # staging buffers in the memory ledger
 # ---------------------------------------------------------------------------
@@ -329,36 +405,6 @@ class TestFaultSeam:
         with resilience.session(plan):
             with pytest.raises(RecoveryExhausted):
                 trainer.run()
-
-
-# ---------------------------------------------------------------------------
-# the overlap() compatibility shim
-# ---------------------------------------------------------------------------
-class TestOverlapShim:
-    def test_shim_charges_scheduler_makespan(self):
-        clock = VirtualClock()
-        with clock.overlap("gpu"):
-            clock.advance(0.3)
-            clock.advance(0.5)
-            clock.advance(0.2)
-        assert clock.now == pytest.approx(0.5)
-        assert clock.busy_time("gpu") == pytest.approx(0.5)
-
-    def test_shim_matches_explicit_lane_scheduler(self):
-        """The old prefetching case study charged max(copy, compute);
-        the shim must agree with an explicit two-lane schedule."""
-        durations = (0.004, 0.0115)  # H2D copy vs training step
-        shim = VirtualClock()
-        with shim.overlap():
-            for dt in durations:
-                shim.advance(dt)
-        explicit = VirtualClock()
-        sched = LaneScheduler(explicit)
-        sched.submit("copy", durations[0])
-        sched.submit("train", durations[1])
-        sched.drain()
-        assert shim.now == pytest.approx(explicit.now, abs=1e-15)
-        assert shim.now == pytest.approx(max(durations))
 
 
 # ---------------------------------------------------------------------------

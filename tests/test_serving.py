@@ -197,6 +197,15 @@ class TestEngine:
         # Same completions either way: overlap must never drop requests.
         assert deep.completed == serial.completed == 24
 
+    def test_off_is_depth1(self):
+        """``off`` and ``depth-1`` are the same serial lane schedule."""
+        off = run_serving_experiment(_config(pipeline="off", rate=2000.0))
+        d1 = run_serving_experiment(_config(pipeline="depth-1", rate=2000.0))
+        assert off.latencies == d1.latencies
+        assert off.makespan == d1.makespan
+        assert off.total_energy == d1.total_energy
+        assert off.phases == d1.phases
+
     def test_same_seed_is_deterministic(self):
         a = run_serving_experiment(_config())
         b = run_serving_experiment(_config())
