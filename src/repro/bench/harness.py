@@ -136,8 +136,34 @@ def run_training_experiment(
     virtual cost is identical either way, only wall clock moves — this is
     the axis the perf-trajectory sweep (``repro bench sweep``) records.
     """
+    config = TrainConfig(
+        epochs=epochs,
+        placement=placement,
+        preload=preload,
+        prefetch=prefetch,
+        num_workers=num_workers,
+        pipeline=pipeline,
+        representative_batches=representative_batches,
+        seed=seed,
+        checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path,
+        resume_from=resume_from,
+        halt_after_epochs=halt_after_epochs,
+    )
     if model not in MODEL_BUILDERS:
         raise BenchmarkError(f"unknown model {model!r}")
+    if model != "graphsage" and config.samples_on_gpu:
+        raise BenchmarkError(
+            f"{model} has no GPU/UVA sampler (paper: GraphSAGE-only)")
+    if not 0.0 <= feature_cache_fraction <= 1.0:
+        raise BenchmarkError("feature_cache_fraction must be in [0, 1]")
+    if feature_cache_fraction > 0 and (placement != "cpugpu" or preload
+                                       or prefetch):
+        raise BenchmarkError(
+            "feature caching applies to the plain 'cpugpu' placement "
+            "(no preload or prefetch)")
+    if not dataset_scale > 0:
+        raise BenchmarkError("dataset_scale must be > 0")
     build_model, build_sampler = MODEL_BUILDERS[model]
     plan = _coerce_fault_plan(fault_plan)
     fw = get_framework(framework)
@@ -155,20 +181,6 @@ def run_training_experiment(
         try:
             with profiler.phase("data_loading"):
                 fgraph = fw.load(dataset, machine, scale=dataset_scale)
-            config = TrainConfig(
-                epochs=epochs,
-                placement=placement,
-                preload=preload,
-                prefetch=prefetch,
-                num_workers=num_workers,
-                pipeline=pipeline,
-                representative_batches=representative_batches,
-                seed=seed,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=checkpoint_path,
-                resume_from=resume_from,
-                halt_after_epochs=halt_after_epochs,
-            )
             if model == "graphsage":
                 mode = {"gpu": "gpu", "uvagpu": "uva"}.get(placement, "cpu")
                 if placement == "gpu":
@@ -178,18 +190,10 @@ def run_training_experiment(
                         fgraph.preload_to_gpu()
                 sampler = build_sampler(fw, fgraph, mode=mode, seed=seed)
             else:
-                if placement in ("gpu", "uvagpu"):
-                    raise BenchmarkError(
-                        f"{model} has no GPU/UVA sampler (paper: GraphSAGE-only)"
-                    )
                 sampler = build_sampler(fw, fgraph, seed=seed)
             net = build_model(fw, fgraph, seed=seed)
             feature_cache = None
             if feature_cache_fraction > 0:
-                if placement != "cpugpu" or preload:
-                    raise BenchmarkError(
-                        "feature caching applies to the plain 'cpugpu' placement"
-                    )
                 from repro.frameworks.feature_cache import GpuFeatureCache
 
                 with profiler.phase("data_movement"):
@@ -247,6 +251,13 @@ def run_training_experiment(
                 },
             )
         return result
+
+
+def _check_seed_and_scale(seed: int, dataset_scale: float) -> None:
+    if seed < 0:
+        raise BenchmarkError("seed must be >= 0")
+    if not dataset_scale > 0:
+        raise BenchmarkError("dataset_scale must be > 0")
 
 
 def _coerce_fault_plan(
@@ -314,6 +325,11 @@ def run_fullbatch_experiment(
     dataset_scale: float = 1.0,
 ) -> ExperimentResult:
     """Full-batch GraphSAGE; reports per-epoch time and power/energy."""
+    if device not in ("cpu", "gpu"):
+        raise BenchmarkError(f"unknown device {device!r}; expected cpu or gpu")
+    if epochs < 1:
+        raise BenchmarkError("epochs must be >= 1")
+    _check_seed_and_scale(seed, dataset_scale)
     fw = get_framework(framework)
     machine = paper_testbed()
     profiler = PhaseProfiler(machine.clock)
@@ -330,7 +346,7 @@ def run_fullbatch_experiment(
         losses = trainer.train_epochs(epochs)
         report = monitor.stop()
         phases = profiler.snapshot()
-        phases["training"] = phases.get("training", 0.0) / max(1, epochs)  # per-epoch
+        phases["training"] = phases.get("training", 0.0) / epochs  # per-epoch
         return ExperimentResult(label=label, phases=phases, energy=report,
                                 losses=losses)
     except OutOfMemoryError as exc:
@@ -362,20 +378,21 @@ def measure_sampler_epoch(framework: str, dataset: str, sampler: str,
     Returns ``{"epoch": s, "one_time": s, "batches": n}`` where
     ``one_time`` is CSC conversion + (for ClusterGCN) partitioning.
     """
+    builders = {"neighbor": graphsage_sampler, "cluster": clustergcn_sampler,
+                "saint_rw": graphsaint_sampler}
+    if sampler not in builders:
+        raise BenchmarkError(f"unknown sampler {sampler!r}")
+    if representative_batches < 1:
+        raise BenchmarkError("representative_batches must be >= 1")
+    _check_seed_and_scale(seed, dataset_scale)
     fw = get_framework(framework)
     machine = paper_testbed()
     fgraph = fw.load(dataset, machine, scale=dataset_scale)
 
     one_time_start = machine.clock.now
-    if sampler == "neighbor":
-        wrapped = graphsage_sampler(fw, fgraph, seed=seed)
-    elif sampler == "cluster":
-        wrapped = clustergcn_sampler(fw, fgraph, seed=seed)
+    wrapped = builders[sampler](fw, fgraph, seed=seed)
+    if sampler == "cluster":
         wrapped.ensure_partitioned()
-    elif sampler == "saint_rw":
-        wrapped = graphsaint_sampler(fw, fgraph, seed=seed)
-    else:
-        raise BenchmarkError(f"unknown sampler {sampler!r}")
     one_time = machine.clock.now - one_time_start
 
     num_batches = wrapped.num_batches()

@@ -1,10 +1,13 @@
 """Declarative experiment suites.
 
-A suite is a JSON-serializable list of experiment specs; each spec names
-an experiment kind (``train`` / ``fullbatch`` / ``loader`` / ``sampler`` /
-``conv``) plus its parameters.  :func:`run_suite` executes them in order
-on fresh machines and returns uniform records; :func:`save_results` /
-:func:`load_results` persist them for regression comparisons.
+A suite is a JSON-serializable list of experiment specs.  Each spec's
+``kind`` (``train`` / ``fullbatch`` / ``loader`` / ``sampler`` / ``conv``)
+picks a harness function and its other keys are that function's keyword
+arguments, except that a conv spec names its layer ``conv``.  Every
+spec's kind and keys are checked before the first spec runs, so an
+unknown key is rejected, never dropped.  :func:`run_suite` executes the
+specs in order on fresh machines and returns uniform records;
+:func:`save_results` writes them (byte-identical across runs).
 
 Example::
 
@@ -19,9 +22,10 @@ Example::
 
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.bench.harness import (
     measure_conv_forward,
@@ -32,78 +36,73 @@ from repro.bench.harness import (
 )
 from repro.errors import BenchmarkError
 
-VALID_KINDS = ("train", "fullbatch", "loader", "sampler", "conv")
+RUNNERS = {
+    "train": run_training_experiment,
+    "fullbatch": run_fullbatch_experiment,
+    "loader": measure_data_loader,
+    "sampler": measure_sampler_epoch,
+    "conv": measure_conv_forward,
+}
+#: Spec defaults that differ from the harness functions' own.
+DEFAULTS = {
+    "train": {"representative_batches": 2},
+    "sampler": {"sampler": "neighbor"},
+    "conv": {"conv": "gcn"},
+}
 
 
-def _run_one(spec: Dict) -> Dict:
+def _harness_kwargs(index: int, spec) -> Tuple[str, Dict]:
+    """A spec's kind and the keyword arguments of its harness function."""
+    if not isinstance(spec, dict):
+        raise BenchmarkError(f"spec #{index} is not an object")
     kind = spec.get("kind")
-    if kind == "train":
-        result = run_training_experiment(
-            spec["framework"], spec["dataset"], spec["model"],
-            placement=spec.get("placement", "cpu"),
-            preload=spec.get("preload", False),
-            prefetch=spec.get("prefetch", False),
-            epochs=spec.get("epochs", 10),
-            representative_batches=spec.get("representative_batches", 2),
-            feature_cache_fraction=spec.get("feature_cache_fraction", 0.0),
-        )
-        return {
-            "label": result.label,
-            "total_time": result.total_time,
-            "phases": result.phases,
-            "avg_power": result.avg_power,
-            "energy": result.total_energy,
-            "oom": result.oom,
-        }
-    if kind == "fullbatch":
-        result = run_fullbatch_experiment(
-            spec["framework"], spec["dataset"],
-            device=spec.get("device", "cpu"),
-            epochs=spec.get("epochs", 3),
-        )
-        return {
-            "label": result.label,
-            "epoch_time": result.phases.get("training", 0.0),
-            "avg_power": result.avg_power,
-            "energy": result.total_energy,
-            "oom": result.oom,
-        }
-    if kind == "loader":
-        seconds = measure_data_loader(spec["framework"], spec["dataset"])
-        return {"label": f"loader/{spec['framework']}", "seconds": seconds}
-    if kind == "sampler":
-        out = measure_sampler_epoch(spec["framework"], spec["dataset"],
-                                    spec.get("sampler", "neighbor"))
-        return {"label": f"sampler/{spec['framework']}", **out}
+    if kind not in RUNNERS:
+        raise BenchmarkError(
+            f"spec #{index}: unknown experiment kind {kind!r}; expected one "
+            f"of {tuple(RUNNERS)}")
+    kwargs = {**DEFAULTS.get(kind, {}), **spec}
+    del kwargs["kind"]
     if kind == "conv":
-        result = measure_conv_forward(spec["framework"], spec["dataset"],
-                                      spec.get("conv", "gcn"),
-                                      device=spec.get("device", "cpu"))
-        return {
-            "label": result.label,
-            "seconds": result.phases.get("forward"),
-            "oom": result.oom,
-        }
-    raise BenchmarkError(
-        f"unknown experiment kind {kind!r}; expected one of {VALID_KINDS}"
-    )
+        kwargs["kind"] = kwargs.pop("conv")
+    try:
+        inspect.signature(RUNNERS[kind]).bind(**kwargs)
+    except TypeError as exc:
+        raise BenchmarkError(f"spec #{index} ({kind}): {exc}") from None
+    return kind, kwargs
+
+
+def _record(kind: str, result, kwargs: Dict) -> Dict:
+    """One finished spec's result fields (the saved record layout)."""
+    if kind in ("loader", "sampler"):
+        fields = result if kind == "sampler" else {"seconds": result}
+        return {"label": f"{kind}/{kwargs['framework']}", **fields}
+    if kind == "conv":
+        return {"label": result.label, "seconds": result.phases.get("forward"),
+                "oom": result.oom}
+    if kind == "train":
+        fields = {"total_time": result.total_time, "phases": result.phases}
+    else:
+        fields = {"epoch_time": result.phases.get("training", 0.0)}
+    return {"label": result.label, **fields, "avg_power": result.avg_power,
+            "energy": result.total_energy, "oom": result.oom}
 
 
 def run_suite(specs: Sequence[Dict]) -> List[Dict]:
     """Run every spec; each record echoes its spec plus the results."""
+    calls = [_harness_kwargs(index, spec) for index, spec in enumerate(specs)]
     records = []
-    for index, spec in enumerate(specs):
-        if not isinstance(spec, dict):
-            raise BenchmarkError(f"spec #{index} is not an object")
-        record = {"spec": dict(spec)}
-        record.update(_run_one(spec))
-        records.append(record)
+    for spec, (kind, kwargs) in zip(specs, calls):
+        result = RUNNERS[kind](**kwargs)
+        records.append({"spec": dict(spec), **_record(kind, result, kwargs)})
     return records
 
 
 def run_suite_file(path: Union[str, Path]) -> List[Dict]:
     """Load a JSON suite file and run it."""
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise BenchmarkError(f"cannot read suite file {path}: {exc}") from None
     if not isinstance(payload, list):
         raise BenchmarkError("suite file must contain a JSON list of specs")
     return run_suite(payload)
@@ -114,37 +113,3 @@ def save_results(records: List[Dict], path: Union[str, Path]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(records, indent=2))
     return path
-
-
-def load_results(path: Union[str, Path]) -> List[Dict]:
-    return json.loads(Path(path).read_text())
-
-
-def compare_results(old: List[Dict], new: List[Dict],
-                    tolerance: float = 0.05) -> List[str]:
-    """Regressions between two runs of the same suite.
-
-    Returns human-readable deviation messages for any numeric field that
-    moved by more than ``tolerance`` (relative).  Simulated results are
-    deterministic, so any drift means the code changed behaviour.
-    """
-    problems = []
-    if len(old) != len(new):
-        return [f"record count changed: {len(old)} -> {len(new)}"]
-    for i, (a, b) in enumerate(zip(old, new)):
-        for key, old_value in a.items():
-            if key in ("spec", "label") or not isinstance(old_value, (int, float)):
-                continue
-            new_value = b.get(key)
-            if not isinstance(new_value, (int, float)):
-                problems.append(f"#{i} {key}: missing in new results")
-                continue
-            if old_value == 0:
-                continue
-            drift = abs(new_value - old_value) / abs(old_value)
-            if drift > tolerance:
-                problems.append(
-                    f"#{i} ({a.get('label', '?')}) {key}: "
-                    f"{old_value:.6g} -> {new_value:.6g} ({100 * drift:.1f}%)"
-                )
-    return problems

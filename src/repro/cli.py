@@ -31,7 +31,9 @@ from repro.bench import (
     run_fullbatch_experiment,
     run_training_experiment,
 )
+from repro.bench.gate import DEFAULT_NOISE_K, DEFAULT_REL_SLACK
 from repro.datasets import DATASET_NAMES, list_datasets
+from repro.errors import BenchmarkError, ReproError
 from repro.profiling.profiler import PHASES
 
 FRAMEWORKS = ("dglite", "pyglite")
@@ -105,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--checkpoint-every", type=int, default=0, metavar="K",
                        help="save a resumable checkpoint every K epochs "
                             "(default: off)")
-    train.add_argument("--checkpoint", default=None, metavar="PATH",
+    train.add_argument("--checkpoint", default="out/ckpt.npz", metavar="PATH",
                        help="checkpoint file for --checkpoint-every "
-                            "(default out/ckpt.npz)")
+                            "(default %(default)s)")
     train.add_argument("--resume-from", default=None, metavar="PATH",
                        help="resume training from a checkpoint written by "
                             "--checkpoint-every")
@@ -241,11 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
                       default="all")
     gate.add_argument("--baseline-dir", default=".",
                       help="directory holding the committed BENCH_*.json")
-    gate.add_argument("--k", type=float, default=None,
+    gate.add_argument("--k", type=float, default=DEFAULT_NOISE_K,
                       help="noise-envelope width: mean + k*sample_std "
-                           "(default 3.0)")
-    gate.add_argument("--rel-slack", type=float, default=None,
-                      help="relative floor for zero-std cells (default 0.02)")
+                           "(default %(default)s)")
+    gate.add_argument("--rel-slack", type=float, default=DEFAULT_REL_SLACK,
+                      help="relative floor for zero-std cells "
+                           "(default %(default)s)")
     gate.add_argument("--format", choices=("text", "json"), default="text")
     gate.add_argument("--out", default=None,
                       help="also write the JSON gate report to this file")
@@ -256,11 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     suite = sub.add_parser("suite", help="run a JSON experiment suite")
     suite.add_argument("path", help="suite JSON file (list of specs)")
     suite.add_argument("--out", default=None,
-                       help="write result records to this JSON file")
-    suite.add_argument("--compare", default=None,
-                       help="compare against previous results; non-zero exit "
-                            "on drift beyond --tolerance")
-    suite.add_argument("--tolerance", type=float, default=0.05)
+                       help="write result records to this JSON file "
+                            "(byte-identical across runs of the same suite)")
 
     from repro.lint.cli import add_lint_parser
 
@@ -289,11 +289,13 @@ def cmd_loader(datasets: List[str]) -> None:
 
 
 def cmd_samplers(datasets: List[str], sampler: str, seed: int = 0) -> None:
+    # Measure before printing: a rejected argument leaves stdout empty.
+    rows = [(ds, *(measure_sampler_epoch(fw, ds, sampler, seed=seed)["epoch"]
+                   for fw in FRAMEWORKS))
+            for ds in datasets]
     print(f"sampler = {sampler}")
     print(f"{'dataset':<15}{'DGLite':>12}{'PyGLite':>12}{'ratio':>8}")
-    for ds in datasets:
-        dgl = measure_sampler_epoch("dglite", ds, sampler, seed=seed)["epoch"]
-        pyg = measure_sampler_epoch("pyglite", ds, sampler, seed=seed)["epoch"]
+    for ds, dgl, pyg in rows:
         print(f"{ds:<15}{dgl:>11.3f}s{pyg:>11.3f}s{pyg / dgl:>7.1f}x")
 
 
@@ -310,18 +312,6 @@ def cmd_conv(datasets: List[str], kind: str, device: str) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> None:
-    fault_plan = args.faults
-    if fault_plan is not None:
-        from repro.errors import FaultPlanError
-        from repro.resilience import FaultPlan
-
-        try:
-            fault_plan = FaultPlan.from_file(fault_plan)
-        except FaultPlanError as exc:
-            raise SystemExit(f"repro train: {exc}")
-    checkpoint = args.checkpoint
-    if args.checkpoint_every and not checkpoint:
-        checkpoint = "out/ckpt.npz"
     for ds in args.dataset:
         telemetry_dir = None
         if args.telemetry:
@@ -339,9 +329,9 @@ def cmd_train(args: argparse.Namespace) -> None:
             seed=args.seed,
             telemetry_dir=telemetry_dir,
             fastpath=not args.reference_kernels,
-            fault_plan=fault_plan,
+            fault_plan=args.faults,
             checkpoint_every=args.checkpoint_every,
-            checkpoint_path=checkpoint,
+            checkpoint_path=args.checkpoint,
             resume_from=args.resume_from,
             halt_after_epochs=args.halt_after,
         )
@@ -362,25 +352,26 @@ def cmd_train(args: argparse.Namespace) -> None:
                   f"{r.get('degraded', 0)} degraded")
         if not result.completed:
             print(f"  halted after --halt-after {args.halt_after} epoch(s); "
-                  f"resume with --resume-from {checkpoint}")
+                  f"resume with --resume-from {args.checkpoint}")
         if result.artifacts:
             print("  telemetry:")
             for name in sorted(result.artifacts):
                 print(f"    {name:<10}{result.artifacts[name]}")
 
 
-def _parse_rates(value: str) -> List[float]:
+def _parse_list(value: str, kind: type, what: str, valid) -> list:
+    """A non-empty comma-separated list of ``kind`` items, each ``valid``."""
     try:
-        rates = [float(part) for part in value.split(",") if part.strip()]
+        items = [kind(part) for part in value.split(",") if part.strip()]
     except ValueError:
-        raise SystemExit(f"repro serve: invalid rate list {value!r}")
-    if not rates or any(r <= 0 for r in rates):
-        raise SystemExit("repro serve: need at least one positive rate")
-    return rates
+        items = []
+    if not items or not all(valid(item) for item in items):
+        raise BenchmarkError(f"invalid {what}: {value!r}")
+    return items
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import BenchmarkError, FaultPlanError
+    from repro.resilience import FaultPlan
     from repro.serving import (
         ServeConfig,
         build_serve_report,
@@ -389,37 +380,28 @@ def cmd_serve(args: argparse.Namespace) -> int:
         write_serve_report,
     )
 
-    fault_plan = args.faults
-    if fault_plan is not None:
-        from repro.resilience import FaultPlan
-
-        try:
-            fault_plan = FaultPlan.from_file(fault_plan)
-        except FaultPlanError as exc:
-            raise SystemExit(f"repro serve: {exc}")
-    rates = _parse_rates(args.rates)
+    fault_plan = FaultPlan.from_file(args.faults) if args.faults else None
+    rates = _parse_list(args.rates, float, "rate list (positive numbers)",
+                        lambda rate: rate > 0)
     frameworks = (list(FRAMEWORKS) if args.framework == "both"
                   else [args.framework])
-    try:
-        base = ServeConfig(
-            framework=frameworks[0],
-            dataset=args.dataset,
-            rate=rates[0],
-            num_requests=args.requests,
-            trace=args.trace,
-            nodes_per_request=args.nodes_per_request,
-            budget_s=args.budget_ms / 1000.0,
-            max_batch=args.max_batch,
-            placement=args.placement,
-            pipeline=args.pipeline,
-            cache_fraction=args.cache_fraction,
-            cache_policy=args.cache_policy,
-            degraded_mode=args.degraded,
-            seed=args.seed,
-            dataset_scale=args.scale,
-        )
-    except BenchmarkError as exc:
-        raise SystemExit(f"repro serve: {exc}")
+    base = ServeConfig(
+        framework=frameworks[0],
+        dataset=args.dataset,
+        rate=rates[0],
+        num_requests=args.requests,
+        trace=args.trace,
+        nodes_per_request=args.nodes_per_request,
+        budget_s=args.budget_ms / 1000.0,
+        max_batch=args.max_batch,
+        placement=args.placement,
+        pipeline=args.pipeline,
+        cache_fraction=args.cache_fraction,
+        cache_policy=args.cache_policy,
+        degraded_mode=args.degraded,
+        seed=args.seed,
+        dataset_scale=args.scale,
+    )
     print(f"serve: {args.dataset} {args.trace} trace, "
           f"{args.requests} requests/window, budget {args.budget_ms:g} ms, "
           f"max batch {args.max_batch}, seed {args.seed}")
@@ -565,21 +547,12 @@ def _bench_areas(value: str) -> List[str]:
     return list(SWEEP_AREAS) if value == "all" else [value]
 
 
-def _parse_seeds(value: str) -> List[int]:
-    try:
-        seeds = [int(part) for part in value.split(",") if part.strip()]
-    except ValueError:
-        raise SystemExit(f"repro bench: invalid seed list {value!r}")
-    if not seeds:
-        raise SystemExit("repro bench: need at least one seed")
-    return seeds
-
-
 def cmd_bench_sweep(args: argparse.Namespace) -> int:
     from repro.bench.artifacts import artifact_path, write_sweep_artifact
     from repro.bench.sweep import run_sweep
 
-    seeds = _parse_seeds(args.seeds)
+    seeds = _parse_list(args.seeds, int, "seed list (integers >= 0)",
+                        lambda seed: seed >= 0)
     for area in _bench_areas(args.area):
         print(f"sweep: {area} (seeds {seeds})")
         artifact = run_sweep(area, seeds=seeds, progress=print)
@@ -592,17 +565,17 @@ def cmd_bench_gate(args: argparse.Namespace) -> int:
     from repro.bench import gate as bench_gate
     from repro.bench.sweep import SweepCell, run_sweep
 
-    k = args.k if args.k is not None else bench_gate.DEFAULT_NOISE_K
-    rel_slack = (args.rel_slack if args.rel_slack is not None
-                 else bench_gate.DEFAULT_REL_SLACK)
+    if not (args.k >= 0 and args.rel_slack >= 0):
+        raise BenchmarkError("--k and --rel-slack must be >= 0")
     injection = None
     if args.inject_slowdown:
         cell_id, _, factor = args.inject_slowdown.partition("=")
         try:
             injection = (cell_id, float(factor))
         except ValueError:
-            raise SystemExit("repro bench gate: --inject-slowdown expects "
-                             "CELL=FACTOR (e.g. conv/dglite/gcn/ppi/x1/fast=2)")
+            raise BenchmarkError(
+                "--inject-slowdown expects CELL=FACTOR "
+                "(e.g. conv/dglite/gcn/ppi/x1/fast=2)") from None
     results = []
     injected = False
     for area in _bench_areas(args.area):
@@ -621,10 +594,10 @@ def cmd_bench_gate(args: argparse.Namespace) -> int:
             fresh = bench_gate.inject_slowdown(fresh, *injection)
             injected = True
         results.append(bench_gate.compare_artifacts(
-            baseline, fresh, k=k, rel_slack=rel_slack))
+            baseline, fresh, k=args.k, rel_slack=args.rel_slack))
     if injection is not None and not injected:
-        raise SystemExit(f"repro bench gate: --inject-slowdown cell "
-                         f"{injection[0]!r} not found in any swept area")
+        raise BenchmarkError(f"--inject-slowdown cell {injection[0]!r} not "
+                             "found in any swept area")
     payload = bench_gate.gate_report_payload(results)
     if args.out:
         from repro.bench.artifacts import atomic_write_text
@@ -638,8 +611,8 @@ def cmd_bench_gate(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.errors import BenchmarkError
-
+    # A directory that is not a telemetry bundle fails the artifact check
+    # (exit 1, like `report --telemetry`); it is not a rejected argument.
     try:
         if args.profile_command == "analyze":
             from repro.profiling.analysis import (
@@ -673,19 +646,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         return 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.bench_command == "sweep":
-        return cmd_bench_sweep(args)
-    return cmd_bench_gate(args)
-
-
 def cmd_suite(args: argparse.Namespace) -> int:
-    from repro.bench.suite import (
-        compare_results,
-        load_results,
-        run_suite_file,
-        save_results,
-    )
+    from repro.bench.suite import run_suite_file, save_results
 
     records = run_suite_file(args.path)
     for record in records:
@@ -694,43 +656,22 @@ def cmd_suite(args: argparse.Namespace) -> int:
     if args.out:
         save_results(records, args.out)
         print(f"wrote {len(records)} records to {args.out}")
-    if args.compare:
-        problems = compare_results(load_results(args.compare), records,
-                                   tolerance=args.tolerance)
-        if problems:
-            print(f"\n{len(problems)} regression(s) vs {args.compare}:")
-            for problem in problems:
-                print(f"  {problem}")
-            return 1
-        print(f"\nno regressions vs {args.compare}")
     return 0
 
 
-def _validate_parsed_args(parser: argparse.ArgumentParser,
-                          args: argparse.Namespace) -> None:
-    """Cross-flag checks that argparse cannot express per-argument.
-
-    ``--pipeline depth-N`` is CPU-side sampling overlap: combining it
-    with an on-device sampling placement is rejected here, at parse
-    time, as a hard argument error (exit code 2) — the same shared
-    validation path (:func:`repro.datapipe.config.
-    validate_pipeline_placement`) runs again inside ``TrainConfig`` and
-    ``ServeConfig`` for programmatic callers.
-    """
-    if args.command in ("train", "serve"):
-        from repro.datapipe.config import validate_pipeline_placement
-        from repro.errors import BenchmarkError
-
-        try:
-            validate_pipeline_placement(args.pipeline, args.placement)
-        except BenchmarkError as exc:
-            parser.error(str(exc))
-
-
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command: exit 0 on success, 1 when a check fails, and 2
+    (one ``repro <command>: <message>`` line on stderr) for rejected
+    input — argparse errors and every :class:`ReproError` alike."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate_parsed_args(parser, args)
+    try:
+        return _run(args)
+    except ReproError as exc:
+        parser.exit(2, f"repro {args.command}: {exc}\n")
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "datasets":
         cmd_datasets()
     elif args.command == "loader":
@@ -759,7 +700,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "profile":
         return cmd_profile(args)
     elif args.command == "bench":
-        return cmd_bench(args)
+        if args.bench_command == "sweep":
+            return cmd_bench_sweep(args)
+        return cmd_bench_gate(args)
     elif args.command == "suite":
         return cmd_suite(args)
     elif args.command == "lint":

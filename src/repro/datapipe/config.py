@@ -1,4 +1,4 @@
-"""The ``pipeline=off|depth-N`` knob shared by trainer, CLI, and bench."""
+"""The ``pipeline=off|depth-N`` knob shared by trainer, serving, and bench."""
 
 from __future__ import annotations
 
@@ -47,14 +47,13 @@ ON_DEVICE_PLACEMENTS = ("gpu", "uvagpu")
 
 
 def validate_pipeline_placement(pipeline: str, placement: str) -> PipelineConfig:
-    """The single pipeline × placement validation path (CLI, trainer, serve).
+    """The single pipeline × placement validation path (trainer, serve).
 
     Parses the ``pipeline`` spec and rejects ``depth-N`` under the
     on-device sampling placements (``gpu``/``uvagpu``) — those sample on
-    the GPU already, so there is no CPU-side stage to pipeline.  The CLI
-    calls this at argument-parse time so the contradiction is a hard
-    argument error, not a mid-run traceback; :class:`TrainConfig` and
-    ``repro serve`` reuse the same call as a backstop.
+    the GPU already, so there is no CPU-side stage to pipeline.
+    :class:`TrainConfig` and ``ServeConfig`` call it when they are built,
+    before any machine exists, so the CLI reports it as exit 2.
     """
     config = parse_pipeline(pipeline)
     if config.enabled and placement in ON_DEVICE_PLACEMENTS:

@@ -80,15 +80,18 @@ class TrainConfig:
             raise BenchmarkError(f"unknown placement {self.placement!r}")
         if self.epochs < 1 or self.representative_batches < 1:
             raise BenchmarkError("epochs and representative_batches must be >= 1")
+        if self.seed < 0:
+            raise BenchmarkError("seed must be >= 0")
+        if self.preload and self.placement == "cpu":
+            raise BenchmarkError("preload needs a GPU placement, not 'cpu'")
         if self.num_workers < 0:
             raise BenchmarkError("num_workers must be >= 0")
         if self.num_workers and self.placement in ("gpu", "uvagpu"):
             raise BenchmarkError(
                 "sampling workers apply to CPU-side samplers only"
             )
-        # Shared validation path (also run at CLI parse time and by
-        # ``repro serve``): parses the spec and rejects depth-N under
-        # the on-device sampling placements.
+        # Shared with ``ServeConfig``: parses the spec and rejects
+        # depth-N under the on-device sampling placements.
         depth = validate_pipeline_placement(self.pipeline, self.placement).depth
         if depth > 0 and self.prefetch:
             raise BenchmarkError(

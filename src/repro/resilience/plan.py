@@ -176,7 +176,7 @@ class FaultPlan:
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "FaultPlan":
         path = Path(path)
-        if not path.exists():
+        if not path.is_file():
             raise FaultPlanError(f"no fault plan at {path}")
         return cls.from_json(path.read_text())
 

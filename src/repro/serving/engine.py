@@ -45,6 +45,7 @@ from repro.frameworks import get_framework
 from repro.hardware.device import KernelCost
 from repro.kernels.config import use_reference_kernels
 from repro.hardware.machine import paper_testbed
+from repro.models.graphsage import build_graphsage
 from repro.models.inference import batch_blocks
 from repro.power.monitor import EnergyMonitor, EnergyReport
 from repro.resilience.plan import FaultPlan
@@ -89,6 +90,9 @@ class ServeConfig:
     dataset_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.model != "graphsage":
+            raise BenchmarkError(f"serving needs a layered block model "
+                                 f"(graphsage), not {self.model!r}")
         if self.placement not in SERVE_PLACEMENTS:
             raise BenchmarkError(
                 f"serve placement must be one of {SERVE_PLACEMENTS}, "
@@ -101,14 +105,20 @@ class ServeConfig:
         if self.trace not in TRACE_KINDS:
             raise BenchmarkError(
                 f"unknown trace kind {self.trace!r}; expected {TRACE_KINDS}")
-        if self.budget_s <= 0:
+        if not self.budget_s > 0:
             raise BenchmarkError("latency budget must be > 0 seconds")
         if self.max_batch < 1:
             raise BenchmarkError("max batch size must be >= 1")
         if not (0.0 <= self.cache_fraction <= 1.0):
             raise BenchmarkError("cache fraction must be in [0, 1]")
-        if self.rate <= 0 or self.num_requests < 1:
+        if not self.rate > 0 or self.num_requests < 1:
             raise BenchmarkError("rate must be > 0 and num_requests >= 1")
+        if self.nodes_per_request < 1:
+            raise BenchmarkError("nodes_per_request must be >= 1")
+        if self.seed < 0:
+            raise BenchmarkError("seed must be >= 0")
+        if not self.dataset_scale > 0:
+            raise BenchmarkError("dataset_scale must be > 0")
         # The single pipeline × placement validation path shared with
         # `repro train` (see repro.datapipe.config).
         validate_pipeline_placement(self.pipeline, self.placement)
@@ -189,14 +199,8 @@ def run_serving_experiment(
     ``fastpath=False`` runs the reference kernel schedules (charged
     virtual cost is identical — the sweep's cost-invariance axis).
     """
-    from repro.bench.harness import MODEL_BUILDERS, _coerce_fault_plan
+    from repro.bench.harness import _coerce_fault_plan
 
-    if config.model not in MODEL_BUILDERS:
-        raise BenchmarkError(f"unknown model {config.model!r}")
-    if config.model != "graphsage":
-        raise BenchmarkError(
-            "serving needs a layered block model (graphsage)")
-    build_model = MODEL_BUILDERS[config.model][0]
     plan = _coerce_fault_plan(fault_plan)
     fw = get_framework(config.framework)
     machine = paper_testbed()
@@ -209,7 +213,7 @@ def run_serving_experiment(
         try:
             fgraph = fw.load(config.dataset, machine,
                              scale=config.dataset_scale)
-            result = _serve_trace(config, fw, fgraph, build_model, machine)
+            result = _serve_trace(config, fw, fgraph, machine)
             result.energy = monitor.stop()
         except BaseException:
             monitor.stop()
@@ -236,14 +240,13 @@ class _InFlight:
     logits_nbytes: float = 0.0
 
 
-def _serve_trace(config: ServeConfig, fw, fgraph, build_model,
-                 machine) -> ServeResult:
+def _serve_trace(config: ServeConfig, fw, fgraph, machine) -> ServeResult:
     """The serving loop proper (machine/session lifecycle handled above)."""
     graph = fgraph.graph
     on_gpu = config.placement == "cpugpu"
     target = machine.device("gpu" if on_gpu else "cpu")
 
-    net = build_model(fw, fgraph, seed=config.seed)
+    net = build_graphsage(fw, fgraph, seed=config.seed)
     net.eval()
     if on_gpu:
         with fw.activate():
@@ -435,12 +438,12 @@ def run_serving_curve(
     """The throughput-vs-offered-load sweep: one run per framework × rate."""
     from dataclasses import replace
 
+    # Every window's config is built (and so validated) before any runs.
+    configs = [replace(base, framework=framework, rate=float(rate))
+               for framework in frameworks for rate in rates]
     results = []
-    for framework in frameworks:
-        for rate in rates:
-            config = replace(base, framework=framework, rate=float(rate))
-            if progress is not None:
-                progress(f"  {config.label}")
-            results.append(run_serving_experiment(config,
-                                                  fault_plan=fault_plan))
+    for config in configs:
+        if progress is not None:
+            progress(f"  {config.label}")
+        results.append(run_serving_experiment(config, fault_plan=fault_plan))
     return results

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import build_parser, main
 
@@ -90,23 +94,6 @@ class TestSuiteCommand:
                      "--out", str(out_file)]) == 0
         assert out_file.exists()
 
-    def test_compare_clean_run_exits_zero(self, tmp_path, capsys):
-        suite = self._suite_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        main(["suite", str(suite), "--out", str(baseline)])
-        assert main(["suite", str(suite), "--compare", str(baseline)]) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_compare_flags_drift(self, tmp_path, capsys):
-        import json
-        suite = self._suite_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        main(["suite", str(suite), "--out", str(baseline)])
-        records = json.loads(baseline.read_text())
-        records[0]["seconds"] *= 10
-        baseline.write_text(json.dumps(records))
-        assert main(["suite", str(suite), "--compare", str(baseline)]) == 1
-        assert "regression" in capsys.readouterr().out
 
 
 class TestReportCommand:
@@ -186,3 +173,112 @@ class TestResilienceCli:
         with pytest.raises(SystemExit):
             main(["train", "--dataset", "ppi", "--epochs", "1",
                   "--faults", "/nonexistent/plan.json"])
+
+
+# Every argv here is bad input: each must exit 2 before any work, with
+# one `repro <command>: ` line on stderr and nothing on stdout.
+REJECTED = [
+    "train --preload",
+    "train --seed -1",
+    "serve --seed -1",
+    "fullbatch --seed -1",
+    "samplers --seed -1",
+    "bench sweep --seeds -1",
+    "train --placement cpugpu --cache-fraction -0.1",
+    "train --placement cpugpu --cache-fraction 1.5",
+    "fullbatch --epochs 0",
+    "serve --scale 0",
+    "serve --nodes-per-request 0",
+    "bench gate --k -1",
+    "bench gate --rel-slack -5",
+    "train --epochs 0",
+    "train --workers -1",
+    "train --checkpoint-every -1",
+    "train --halt-after 0",
+    "train --model clustergcn --placement gpu",
+    "train --faults /nonexistent",
+    "serve --faults /nonexistent",
+    "train --resume-from /nonexistent.npz",
+    "serve --requests 0",
+    "serve --budget-ms -1",
+    "serve --max-batch 0",
+    "serve --cache-fraction 1.5",
+    "serve --rates 100,abc",
+    "suite /nonexistent.json",
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED)
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # nothing a rejected run writes may land
+    args = argv.split()
+    if args[0] in ("train", "fullbatch", "samplers"):
+        args += ["--dataset", "ppi"]
+    if args[0] in ("train", "fullbatch") and "--epochs" not in args:
+        args += ["--epochs", "1"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(args)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    command = args[0]
+    assert captured.err.startswith(f"repro {command}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+# Bounded CLI fuzz: argv built from boundary values must either run
+# (exit 0) or be rejected (exit 2); no other exception may escape.
+BOUNDARY = ("-1", "0", "1", "1.5", "abc")
+FUZZ_COMMANDS = {
+    # command: (flags always drawn, flags maybe drawn, choice flags)
+    "train": (("--epochs",),
+              ("--workers", "--cache-fraction", "--seed", "--halt-after"),
+              {"--placement": ("cpu", "cpugpu", "gpu", "uvagpu"),
+               "--model": ("graphsage", "clustergcn", "graphsaint"),
+               "--pipeline": ("off", "depth-2", "depth-0", "bogus"),
+               "--preload": None, "--prefetch": None}),
+    "serve": (("--requests",),
+              ("--rates", "--nodes-per-request", "--budget-ms",
+               "--max-batch", "--cache-fraction", "--seed", "--scale"),
+              {"--framework": ("dglite", "pyglite", "both"),
+               "--placement": ("cpu", "cpugpu"),
+               "--pipeline": ("off", "depth-2", "bogus"),
+               "--trace": ("poisson", "bursty", "diurnal"),
+               "--degraded": ("shed", "stale")}),
+    "fullbatch": (("--epochs",), ("--seed",),
+                  {"--device": ("cpu", "gpu"),
+                   "--framework": ("dglite", "pyglite")}),
+    "samplers": ((), ("--seed",),
+                 {"--sampler": ("neighbor", "cluster", "saint_rw")}),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    always, maybe, choices = FUZZ_COMMANDS[command]
+    argv = [command, "--dataset", "ppi"]
+    for flag in always:
+        argv += [flag, draw(st.sampled_from(BOUNDARY))]
+    for flag in maybe:
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(BOUNDARY))]
+    for flag, values in choices.items():
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [
+                flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(argv=fuzz_argv())
+def test_fuzzed_argv_runs_or_exits_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

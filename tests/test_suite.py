@@ -1,16 +1,13 @@
 """Tests for the declarative experiment suite runner."""
 
+import functools
 import json
 
 import pytest
 
-from repro.bench.suite import (
-    compare_results,
-    load_results,
-    run_suite,
-    run_suite_file,
-    save_results,
-)
+from repro.bench import suite
+from repro.bench.suite import run_suite, run_suite_file, save_results
+from repro.cli import main
 from repro.errors import BenchmarkError
 
 SMALL_SUITE = [
@@ -56,14 +53,50 @@ class TestRunSuite:
     def test_deterministic_across_runs(self):
         a = run_suite(SMALL_SUITE[:2])
         b = run_suite(SMALL_SUITE[:2])
-        assert compare_results(a, b, tolerance=1e-9) == []
+        assert a == b
+
+    def test_unknown_key_rejected_before_any_spec_runs(self, monkeypatch,
+                                                        tmp_path, capsys):
+        calls = []
+        run = suite.RUNNERS["loader"]
+
+        @functools.wraps(run)
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return run(*args, **kwargs)
+
+        monkeypatch.setitem(suite.RUNNERS, "loader", spy)
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps([SMALL_SUITE[0],
+                                    {**SMALL_SUITE[0], "bogus": 1}]))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["suite", str(path)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro suite: spec #1")
+        assert "bogus" in captured.err
+        assert calls == []
+
+    def test_missing_required_key_rejected(self):
+        with pytest.raises(BenchmarkError, match="framework"):
+            run_suite([{"kind": "loader", "dataset": "ppi"}])
+
+    def test_pipeline_key_is_honoured(self):
+        serial = {"kind": "train", "framework": "dglite", "dataset": "ppi",
+                  "model": "graphsage", "placement": "cpugpu", "epochs": 1}
+        piped = {**serial, "pipeline": "depth-4"}
+        a, b = run_suite([serial, piped])
+        assert a["label"] == "DGL-CPUGPU"
+        assert b["label"].endswith("+pipe4")
+        assert b["total_time"] != a["total_time"]
 
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         records = run_suite(SMALL_SUITE[:2])
         path = save_results(records, tmp_path / "out" / "results.json")
-        assert load_results(path) == json.loads(json.dumps(records))
+        assert json.loads(path.read_text()) == json.loads(json.dumps(records))
 
     def test_run_suite_file(self, tmp_path):
         path = tmp_path / "suite.json"
@@ -76,25 +109,3 @@ class TestPersistence:
         path.write_text(json.dumps({"kind": "loader"}))
         with pytest.raises(BenchmarkError):
             run_suite_file(path)
-
-
-class TestCompare:
-    def test_detects_drift(self):
-        old = [{"label": "x", "seconds": 1.0}]
-        new = [{"label": "x", "seconds": 1.2}]
-        problems = compare_results(old, new, tolerance=0.1)
-        assert len(problems) == 1
-        assert "seconds" in problems[0]
-
-    def test_within_tolerance_is_clean(self):
-        old = [{"label": "x", "seconds": 1.0}]
-        new = [{"label": "x", "seconds": 1.04}]
-        assert compare_results(old, new, tolerance=0.05) == []
-
-    def test_count_mismatch(self):
-        assert compare_results([], [{"label": "x"}])
-
-    def test_missing_field_reported(self):
-        old = [{"label": "x", "seconds": 1.0}]
-        new = [{"label": "x"}]
-        assert "missing" in compare_results(old, new)[0]
