@@ -364,6 +364,8 @@ def measure_data_loader(framework: str, dataset: str,
                         dataset_scale: float = 1.0) -> float:
     """Figure 3: seconds to load a dataset into the framework object."""
     fw = get_framework(framework)
+    if not dataset_scale > 0:
+        raise BenchmarkError("dataset_scale must be > 0")
     machine = paper_testbed()
     start = machine.clock.now
     fw.load(dataset, machine, scale=dataset_scale)
@@ -422,6 +424,10 @@ def measure_conv_forward(framework: str, dataset: str, kind: str,
     schedules (wall clock only — charged cost is schedule-invariant).
     """
     fw = get_framework(framework)
+    fw.check_conv(kind)
+    if device not in ("cpu", "gpu"):
+        raise BenchmarkError(f"unknown device {device!r}; expected cpu or gpu")
+    _check_seed_and_scale(seed, dataset_scale)
     machine = paper_testbed()
     label = f"{framework}/{dataset}/{kind}/{device}"
     monitor = EnergyMonitor(machine, interval=monitor_interval)

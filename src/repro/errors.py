@@ -61,6 +61,18 @@ class BenchmarkError(ReproError):
     """An experiment harness failure."""
 
 
+class UnknownFrameworkError(ReproError, ValueError):
+    """A framework name that is neither dglite nor pyglite."""
+
+
+class UnknownConvError(ReproError, KeyError):
+    """A conv-layer kind the framework does not implement."""
+
+    def __str__(self) -> str:
+        # KeyError.__str__ would quote the message.
+        return str(self.args[0]) if self.args else ""
+
+
 class ResilienceError(ReproError):
     """Base class for the fault-injection / recovery subsystem."""
 

@@ -14,6 +14,7 @@ their :class:`~repro.frameworks.profiles.FrameworkProfile` and from which
 kernel *paths* their layer implementations take.
 """
 
+from repro.errors import UnknownFrameworkError
 from repro.frameworks.base import Framework, FrameworkBatch, FrameworkGraph
 from repro.frameworks.profiles import (
     DGLITE_PROFILE,
@@ -34,7 +35,8 @@ def get_framework(name: str) -> Framework:
         return DGLite()
     if key in ("pyglite", "pyg"):
         return PyGLite()
-    raise ValueError(f"unknown framework {name!r} (expected 'dglite' or 'pyglite')")
+    raise UnknownFrameworkError(
+        f"unknown framework {name!r} (expected 'dglite' or 'pyglite')")
 
 
 __all__ = [

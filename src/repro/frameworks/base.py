@@ -10,14 +10,14 @@ module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.datasets.base import build_dataset
 from repro.datasets.registry import dataset_spec
 from repro.datasets.storage import stored_nbytes
-from repro.errors import DeviceError, SamplerError
+from repro.errors import DeviceError, SamplerError, UnknownConvError
 from repro.graph.graph import Graph
 from repro.hardware.device import Device, KernelCost
 from repro.hardware.machine import Machine
@@ -124,6 +124,8 @@ class Framework:
 
     name: str = "abstract"
     profile: FrameworkProfile = None  # type: ignore[assignment]
+    #: conv kind -> layer class, declared by each framework's nn module.
+    _CONVS: Dict[str, Callable[..., object]] = {}
 
     def __init__(self, profile: Optional[FrameworkProfile] = None) -> None:
         if profile is not None:
@@ -174,8 +176,21 @@ class Framework:
     # ------------------------------------------------------------------
     # conv layers (implemented by each framework's nn module)
     # ------------------------------------------------------------------
+    def check_conv(self, kind: str) -> None:
+        """Raise :class:`UnknownConvError` unless ``kind`` is a layer here."""
+        if kind not in self._CONVS:
+            raise UnknownConvError(
+                f"unknown conv kind {kind!r} for {self.name} (expected one "
+                f"of {', '.join(sorted(self._CONVS))})")
+
     def conv(self, kind: str, in_features: int, out_features: int, **kwargs):
-        raise NotImplementedError
+        """Instantiate one of the framework's conv layers by kind."""
+        self.check_conv(kind)
+        registry = telemetry.metrics()
+        if registry is not None:
+            registry.counter("framework.conv_built",
+                             framework=self.name, kind=kind).inc()
+        return self._CONVS[kind](in_features, out_features, **kwargs)
 
     def conv_kinds(self) -> Sequence[str]:
         """The eight layers of the Figure 5 functional test."""

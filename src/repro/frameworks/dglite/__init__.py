@@ -18,7 +18,6 @@ Design choices mirrored from DGL v0.8.2:
 from repro.frameworks.base import Framework
 from repro.frameworks.profiles import DGLITE_PROFILE
 from repro.frameworks.dglite import nn
-from repro.telemetry import runtime as telemetry
 
 
 class DGLite(Framework):
@@ -41,16 +40,6 @@ class DGLite(Framework):
         "gin": nn.GINConv,
         "graph": nn.GraphConv,
     }
-
-    def conv(self, kind: str, in_features: int, out_features: int, **kwargs):
-        """Instantiate one of the eight benchmarked conv layers."""
-        if kind not in self._CONVS:
-            raise KeyError(f"unknown conv kind {kind!r}")
-        registry = telemetry.metrics()
-        if registry is not None:
-            registry.counter("framework.conv_built",
-                             framework=self.name, kind=kind).inc()
-        return self._CONVS[kind](in_features, out_features, **kwargs)
 
 
 __all__ = ["DGLite", "nn"]

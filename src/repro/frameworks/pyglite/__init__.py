@@ -20,7 +20,6 @@ Design choices mirrored from PyG v2.0.4:
 from repro.frameworks.base import Framework
 from repro.frameworks.profiles import PYGLITE_PROFILE
 from repro.frameworks.pyglite import nn
-from repro.telemetry import runtime as telemetry
 
 
 class PyGLite(Framework):
@@ -43,16 +42,6 @@ class PyGLite(Framework):
         "gin": nn.GINConv,
         "graph": nn.GraphConv,
     }
-
-    def conv(self, kind: str, in_features: int, out_features: int, **kwargs):
-        """Instantiate one of the eight benchmarked conv layers."""
-        if kind not in self._CONVS:
-            raise KeyError(f"unknown conv kind {kind!r}")
-        registry = telemetry.metrics()
-        if registry is not None:
-            registry.counter("framework.conv_built",
-                             framework=self.name, kind=kind).inc()
-        return self._CONVS[kind](in_features, out_features, **kwargs)
 
 
 __all__ = ["PyGLite", "nn"]

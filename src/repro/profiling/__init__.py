@@ -1,6 +1,5 @@
 """Runtime profiling over the virtual clock (the pyinstrument substitute)."""
 
 from repro.profiling.profiler import PhaseProfiler, PHASES
-from repro.profiling.report import BreakdownReport, format_breakdown_table
 
-__all__ = ["BreakdownReport", "PHASES", "PhaseProfiler", "format_breakdown_table"]
+__all__ = ["PHASES", "PhaseProfiler"]

@@ -13,9 +13,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import BenchmarkError
+
+#: Per-kernel counter -> field of a :meth:`RunBundle.kernel_counters` entry.
+KERNEL_COUNTERS = {
+    "kernel.busy_seconds": "seconds",
+    "kernel.flops": "flops",
+    "kernel.bytes_moved": "bytes",
+    "kernel.invocations": "launches",
+}
 
 
 @dataclass(frozen=True)
@@ -69,6 +77,31 @@ class RunBundle:
             series[key] = series.get(key, 0.0) + float(record.get("value", 0.0))
         return series
 
+    def counter_by_label(self, name: str, label: str) -> Dict[str, float]:
+        """One counter summed per value of ``label`` (``"?"`` if absent)."""
+        totals: Dict[str, float] = {}
+        for labels, value in self.counter_series(name).items():
+            key = str(dict(labels).get(label, "?"))
+            totals[key] = totals.get(key, 0.0) + value
+        return totals
+
+    def kernel_counters(self) -> Dict[Tuple[str, str], Dict[str, float]]:
+        """(device, kernel) -> {seconds, flops, bytes, launches}.
+
+        The one join of the per-kernel counters; the roofline, the diff
+        and the report all read kernels through it.
+        """
+        kernels: Dict[Tuple[str, str], Dict[str, float]] = {}
+        for metric, field_name in KERNEL_COUNTERS.items():
+            for labels, value in self.counter_series(metric).items():
+                labeled = dict(labels)
+                key = (str(labeled.get("device", "?")),
+                       str(labeled.get("kernel", "?")))
+                entry = kernels.setdefault(
+                    key, dict.fromkeys(KERNEL_COUNTERS.values(), 0.0))
+                entry[field_name] += value
+        return kernels
+
 
 def _trace_intervals(payload: dict, time_unit: float = 1e6) -> List[LaneInterval]:
     """Device lanes (pid 0) of a merged Chrome trace, back in seconds."""
@@ -94,29 +127,32 @@ def _trace_intervals(payload: dict, time_unit: float = 1e6) -> List[LaneInterval
 
 
 def load_run_bundle(out_dir: Union[str, Path]) -> RunBundle:
-    """Parse one telemetry directory; raises on missing/invalid artifacts."""
+    """Parse one telemetry directory.
+
+    All four artifacts must pass :func:`~repro.telemetry.manifest.validate_run_dir`
+    first; otherwise a :class:`BenchmarkError` names each failing file
+    and its first problem.
+    """
     from repro.telemetry.exporters import read_events_jsonl
-    from repro.telemetry.manifest import load_run_manifest, validate_run_manifest
+    from repro.telemetry.manifest import load_run_manifest, validate_run_dir
 
     out = Path(out_dir)
-    manifest_path = out / "run.json"
-    trace_path = out / "trace.json"
-    events_path = out / "events.jsonl"
-    for path in (manifest_path, trace_path, events_path):
-        if not path.exists():
-            raise BenchmarkError(
-                f"not a telemetry directory: {out} is missing {path.name} "
-                "(produce one with `repro train --telemetry DIR`)")
-    manifest = load_run_manifest(manifest_path)
-    problems = validate_run_manifest(manifest)
-    if problems:
+    by_file: Dict[str, List[str]] = {}
+    for problem in validate_run_dir(out):
+        name, _, detail = problem.partition(": ")
+        by_file.setdefault(name, []).append(detail)
+    if by_file:
+        named = "; ".join(
+            f"{name}: {details[0]}"
+            + (f" (+{len(details) - 1} more)" if len(details) > 1 else "")
+            for name, details in by_file.items())
         raise BenchmarkError(
-            f"{manifest_path}: invalid run manifest ({problems[0]}"
-            + (f" +{len(problems) - 1} more)" if len(problems) > 1 else ")"))
-    spans = [r for r in read_events_jsonl(events_path)
+            f"not a telemetry directory: {out} ({named}); produce one with "
+            "`repro train --telemetry DIR`")
+    spans = [r for r in read_events_jsonl(out / "events.jsonl")
              if r.get("type") == "span"]
-    trace = json.loads(trace_path.read_text())
-    return RunBundle(manifest=manifest,
+    trace = json.loads((out / "trace.json").read_text())
+    return RunBundle(manifest=load_run_manifest(out / "run.json"),
                      span_records=spans,
                      intervals=_trace_intervals(trace))
 

@@ -1,8 +1,10 @@
 """Orchestration: run every analysis over a telemetry directory.
 
 ``analyze_run_dir`` is what ``repro profile analyze DIR`` calls: it
-loads the bundle, runs critical-path extraction, roofline attribution,
-and the flamegraph fold, writes ``profile.json`` (validated,
+loads (and validates) the bundle, summarises the run (phase split,
+energy, fast-path hit/miss and per-site fault counts), runs
+critical-path extraction, roofline attribution, and the flamegraph
+fold, writes ``profile.json`` (validated,
 ``repro.profile/1``) plus ``flame.folded`` next to the run artifacts,
 and returns the payload.  The formatters render the payloads for the
 terminal.
@@ -11,7 +13,7 @@ terminal.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.profiling.analysis.bundle import RunBundle, load_run_bundle
 from repro.profiling.analysis.critical_path import extract_critical_path
@@ -21,14 +23,29 @@ from repro.profiling.analysis.schema import (
     build_profile_payload,
     write_profile_json,
 )
+from repro.profiling.profiler import PHASES
 
 PROFILE_FILENAME = "profile.json"
 FLAME_FILENAME = "flame.folded"
 DIFF_FILENAME = "diff.json"
 
+#: ``fault.<event>`` counters summed per site into ``run.faults``.
+FAULT_EVENTS = ("injected", "recovered", "retries", "degraded")
+
+
+def _counts_by_label(bundle: RunBundle, prefix: str, events: Tuple[str, ...],
+                     label: str) -> Dict[str, Dict[str, float]]:
+    """label value -> {event: count} over the ``prefix.<event>`` counters."""
+    counts: Dict[str, Dict[str, float]] = {}
+    for event in events:
+        for key, value in bundle.counter_by_label(f"{prefix}.{event}",
+                                                  label).items():
+            counts.setdefault(key, dict.fromkeys(events, 0.0))[event] = value
+    return {key: counts[key] for key in sorted(counts)}
+
 
 def analyze_bundle(bundle: RunBundle) -> dict:
-    """All three analyses over an in-memory bundle (no file output)."""
+    """All analyses over an in-memory bundle (no file output)."""
     manifest = bundle.manifest
     stacks = folded_stacks(bundle.span_records)
     return build_profile_payload(
@@ -38,6 +55,12 @@ def analyze_bundle(bundle: RunBundle) -> dict:
             "dataset": manifest.get("dataset", "?"),
             "seed": manifest.get("seed", 0),
             "total_seconds": bundle.total_seconds,
+            "phases": dict(manifest.get("phases", {})),
+            "phase_fractions": dict(manifest.get("phase_fractions", {})),
+            "energy": manifest.get("energy"),
+            "fastpath": _counts_by_label(bundle, "kernel.fastpath",
+                                         ("hit", "miss"), "path"),
+            "faults": _counts_by_label(bundle, "fault", FAULT_EVENTS, "site"),
         },
         critical_path=extract_critical_path(bundle),
         roofline=roofline_attribution(bundle),
@@ -81,6 +104,7 @@ def format_profile_report(payload: dict) -> str:
     lines.append(f"{run.get('label', '?')} / {run.get('dataset', '?')} "
                  f"(seed {run.get('seed', '?')}, "
                  f"total {run.get('total_seconds', 0.0):.4f}s)")
+    lines += _format_run_sections(run)
     lines.append("")
     lines.append(f"critical path: {critical.get('critical_seconds', 0.0):.4f}s "
                  f"over a {critical.get('makespan', 0.0):.4f}s makespan "
@@ -129,6 +153,35 @@ def format_profile_report(payload: dict) -> str:
                  f"{flame.get('total_micros', 0)} us folded "
                  f"-> {flame.get('file', FLAME_FILENAME)}")
     return "\n".join(lines)
+
+
+def _format_run_sections(run: dict) -> List[str]:
+    """Phase split, energy, fast-path and per-site fault lines."""
+    lines: List[str] = []
+    phases = run.get("phases", {})
+    fractions = run.get("phase_fractions", {})
+    for phase in PHASES:
+        lines.append(f"phase {phase}: {phases.get(phase, 0.0):.4f}s "
+                     f"({100 * fractions.get(phase, 0.0):.1f}%)")
+    energy = run.get("energy")
+    if energy:
+        lines.append(f"energy: {energy['total_joules']:.1f} J, "
+                     f"avg {energy['avg_power_w']:.1f} W, "
+                     f"peak {energy['peak_power_w']:.1f} W")
+        for rail in ("cpu", "gpu"):
+            stats = energy[f"{rail}_power_w"]
+            lines.append(f"energy {rail}: p50 {stats['p50']:.1f} W, "
+                         f"p95 {stats['p95']:.1f} W, "
+                         f"peak {stats['peak']:.1f} W")
+    for path, counts in sorted(run.get("fastpath", {}).items()):
+        total = counts["hit"] + counts["miss"]
+        rate = 100.0 * counts["hit"] / total if total else 0.0
+        lines.append(f"fast-path {path}: {int(counts['hit'])} hit, "
+                     f"{int(counts['miss'])} miss ({rate:.1f}% fast)")
+    for site, counts in sorted(run.get("faults", {}).items()):
+        lines.append(f"faults {site}: " + ", ".join(
+            f"{int(counts[event])} {event}" for event in FAULT_EVENTS))
+    return lines
 
 
 def _flatten_axis(payload: dict, axis: str) -> List[tuple]:

@@ -4,7 +4,9 @@ Both analysis outputs ship under one schema id with a ``kind``
 discriminator:
 
 * ``kind: "analysis"`` — ``profile.json`` from ``repro profile analyze``
-  (critical path + roofline + flamegraph summary for one run).
+  (run summary — phase split, energy, fast-path and per-site fault
+  counts — plus critical path, roofline and flamegraph summary for one
+  run).
 * ``kind: "diff"`` — ``diff.json`` from ``repro profile diff`` (delta
   attribution between two runs).
 
@@ -94,6 +96,9 @@ def _validate_analysis(payload: dict) -> List[str]:
             problems.append(f"missing section {key!r}")
     if problems:
         return problems
+    for key in ("phases", "phase_fractions", "fastpath", "faults"):
+        if not isinstance(payload["run"].get(key), dict):
+            problems.append(f"run.{key} must be an object")
     critical = payload["critical_path"]
     for key in ("makespan", "critical_seconds", "idle_seconds",
                 "overlap_seconds", "coverage"):

@@ -109,14 +109,17 @@ class VirtualClock:
         # Record the interval before advancing so clock listeners (power
         # sampling) see the kernel that is causing this advance.
         if dt > 0:
-            self._busy.append(BusyInterval(device, start, start + dt, tag))
-            starts = self._starts.setdefault(device, [])
-            ends = self._ends.setdefault(device, [])
-            cum = self._cumdur.setdefault(device, [0.0])
-            starts.append(start)
-            ends.append(start + dt)
-            cum.append(cum[-1] + dt)
+            self._append_interval(device, start, start + dt, dt, tag)
         self.advance(dt)
+
+    def _append_interval(self, key: str, start: float, end: float,
+                         duration: float, tag: str) -> None:
+        """Record one busy interval and extend ``key``'s busy-time index."""
+        self._busy.append(BusyInterval(key, start, end, tag))
+        self._starts.setdefault(key, []).append(start)
+        self._ends.setdefault(key, []).append(end)
+        cum = self._cumdur.setdefault(key, [0.0])
+        cum.append(cum[-1] + duration)
 
     @contextmanager
     def deferred(self) -> Iterator["DeferredRecord"]:
@@ -163,28 +166,17 @@ class VirtualClock:
             start = self._now
             longest = max(durations.values())
             for device, dt in durations.items():
-                self._busy.append(BusyInterval(device, start, start + dt, tag))
-                starts = self._starts.setdefault(device, [])
-                ends = self._ends.setdefault(device, [])
-                cum = self._cumdur.setdefault(device, [0.0])
-                starts.append(start)
-                ends.append(start + dt)
-                cum.append(cum[-1] + dt)
+                self._append_interval(device, start, start + dt, dt, tag)
             self.advance(longest)
             return
         for device, dt in durations.items():
             start = self._now - dt
-            ends = self._ends.setdefault(device, [])
+            ends = self._ends.get(device)
             if ends and ends[-1] > start + 1e-12:
                 raise ValueError(
                     f"backfill window for {device!r} overlaps existing busy time"
                 )
-            self._busy.append(BusyInterval(device, start, self._now, tag))
-            starts = self._starts.setdefault(device, [])
-            cum = self._cumdur.setdefault(device, [0.0])
-            starts.append(start)
-            ends.append(self._now)
-            cum.append(cum[-1] + dt)
+            self._append_interval(device, start, self._now, dt, tag)
 
     def commit_interval(self, device: str, start: float, end: float,
                         tag: str = "", lane: str = "") -> None:
@@ -204,9 +196,7 @@ class VirtualClock:
         if end - start <= 0:
             return
         key = f"{device}@{lane}" if lane else device
-        starts = self._starts.setdefault(key, [])
-        ends = self._ends.setdefault(key, [])
-        cum = self._cumdur.setdefault(key, [0.0])
+        ends = self._ends.get(key)
         if ends and start < ends[-1] - _EPS:
             raise ValueError(
                 f"interval [{start}, {end}) overlaps existing busy time on "
@@ -215,10 +205,7 @@ class VirtualClock:
         start = max(start, ends[-1]) if ends else start
         if end <= start:
             return
-        self._busy.append(BusyInterval(key, start, end, tag))
-        starts.append(start)
-        ends.append(end)
-        cum.append(cum[-1] + (end - start))
+        self._append_interval(key, start, end, end - start, tag)
         if lane:
             self._union_merge(device, start, end)
 
@@ -392,35 +379,3 @@ class LaneScheduler:
         if elapsed > 0:
             self.clock.advance(elapsed)
         return max(0.0, elapsed)
-
-
-@dataclass
-class Stopwatch:
-    """Measures elapsed *virtual* time between start/stop marks."""
-
-    clock: VirtualClock
-    _start: Optional[float] = field(default=None, init=False)
-    elapsed: float = field(default=0.0, init=False)
-
-    def start(self) -> "Stopwatch":
-        self._start = self.clock.now
-        return self
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("Stopwatch.stop() called before start()")
-        self.elapsed += self.clock.now - self._start
-        self._start = None
-        return self.elapsed
-
-    def reset(self) -> None:
-        self._start = None
-        self.elapsed = 0.0
-
-    @contextmanager
-    def timing(self) -> Iterator["Stopwatch"]:
-        self.start()
-        try:
-            yield self
-        finally:
-            self.stop()

@@ -5,8 +5,8 @@ Three machine-readable views over one session:
 * ``events.jsonl`` — every span (dual-clock timing, parent ids, attrs)
   and every metric's final state, one JSON object per line, led by a
   schema header line.  The stream is the ground truth the other views
-  are derived from; ``repro report --telemetry`` and the tests re-derive
-  the four-phase rollup from it.
+  are derived from; ``repro profile analyze`` reads its spans back and
+  the tests re-derive the four-phase rollup from it.
 * ``metrics.prom`` — a Prometheus exposition-format snapshot of the
   registry (scrape-shaped, diffable between runs).
 * ``trace.json`` — the existing device-lane Chrome trace *merged* with
@@ -90,8 +90,7 @@ def device_trace_events(clock: VirtualClock, time_unit: float = 1e6) -> List[dic
     :data:`DEVICE_LANES` get fixed ids, remaining devices are numbered by
     sorted name rather than first-seen order, so traces from two runs of
     the same config diff cleanly.  This is the single device-lane trace
-    implementation; the legacy :mod:`repro.profiling.trace` module
-    delegates here.
+    implementation.
     """
     lanes = {device: tid for tid, device in enumerate(DEVICE_LANES)}
     seen = {interval.device for interval in clock.busy_intervals()}

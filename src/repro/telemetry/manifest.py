@@ -12,7 +12,7 @@ byte-identical manifests — asserted by ``tests/test_telemetry.py``.
 Wall-clock timings live only in ``events.jsonl``.
 
 The ``validate_*`` functions are the schema gate used by the tests and
-the CI telemetry smoke step (via ``repro report --telemetry``): each
+by ``repro profile analyze`` (which refuses a bundle that fails it): each
 returns a list of human-readable problems, empty when the artifact
 conforms.
 """

@@ -142,7 +142,7 @@ class TestResilienceCli:
         out = capsys.readouterr().out
         assert "faults: 2 injected, 2 recovered" in out
 
-    def test_report_telemetry_shows_resilience_section(self, tmp_path,
+    def test_profile_analyze_shows_fault_line_per_site(self, tmp_path,
                                                        capsys):
         plan = self._write_plan(tmp_path)
         out_dir = tmp_path / "telemetry"
@@ -150,11 +150,15 @@ class TestResilienceCli:
                      "--placement", "cpugpu", "--faults", str(plan),
                      "--telemetry", str(out_dir)]) == 0
         capsys.readouterr()
-        assert main(["report", "--telemetry", str(out_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "resilience:" in out
-        assert "storage.read" in out
-        assert "transfer.h2d" in out
+        assert main(["profile", "analyze", str(out_dir)]) == 0
+        fault_lines = [line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("faults ")]
+        assert fault_lines == [
+            "faults storage.read: 1 injected, 1 recovered, 1 retries, "
+            "0 degraded",
+            "faults transfer.h2d: 1 injected, 1 recovered, 0 retries, "
+            "0 degraded",
+        ]
 
     def test_checkpoint_halt_and_resume(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.npz"

@@ -23,9 +23,10 @@ from repro.models.graphsage import build_graphsage, graphsage_sampler
 from repro.models.trainer import MiniBatchTrainer, TrainConfig
 from repro.power.carbon import carbon_from_energy
 from repro.power.monitor import EnergyMonitor
-from repro.profiling.kernel_report import group_by_family, kernel_breakdown
+from repro.profiling.kernel_report import group_by_family
 from repro.profiling.profiler import PhaseProfiler
-from repro.profiling.trace import summarize_trace, write_trace
+from repro.telemetry.exporters import write_merged_trace
+from repro.telemetry.manifest import validate_chrome_trace
 
 
 class TestAccountingConsistency:
@@ -87,9 +88,6 @@ class TestAccountingConsistency:
         total_by_family = sum(grouped.values())
         counters_total = machine.cpu.counters.busy_seconds
         assert total_by_family == pytest.approx(counters_total, rel=1e-6)
-        entries = kernel_breakdown(machine)
-        assert sum(e.seconds for e in entries) == pytest.approx(
-            counters_total, rel=1e-6)
 
     def test_memory_returns_to_baseline_after_teardown(self):
         machine = paper_testbed()
@@ -140,11 +138,11 @@ class TestFullPipeline:
             report.total_energy / 3.6e6)
 
         # 4. trace covers the timeline
-        path = write_trace(machine.clock, tmp_path / "trace.json")
-        events = json.loads(path.read_text())["traceEvents"]
-        assert len(events) > 20
-        summary = summarize_trace(machine.clock)
-        assert summary["wall"] == pytest.approx(machine.clock.now)
+        path = write_merged_trace(tmp_path / "trace.json", machine.clock,
+                                  tracer=None)
+        payload = json.loads(path.read_text())
+        assert validate_chrome_trace(payload) == []
+        assert len(payload["traceEvents"]) > 20
 
     def test_harness_and_manual_pipeline_agree(self):
         """run_training_experiment == hand-assembled pipeline, exactly."""

@@ -4,8 +4,10 @@ Covers byte-determinism of the ``repro.profile/1`` artifacts across
 same-seed runs, critical-path extraction (coverage, slack, tie-breaks),
 roofline attribution and its zero-peak guards, folded-flamegraph
 exclusive-time accounting, diff alignment edge cases (missing spans,
-renamed phases), the fastpath-on/off acceptance diff, the bench-gate
-attribution hints, schema round-trips, and the CLI surfaces.
+renamed phases), the run summary sections (phase split, energy,
+fast-path and per-site fault counts), the fastpath-on/off acceptance
+diff, the bench-gate attribution hints, schema round-trips, the
+four-artifact gate on a damaged bundle, and the CLI surfaces.
 """
 
 import json
@@ -32,19 +34,28 @@ from repro.profiling.analysis.diff import classify_deltas, span_path_totals
 from repro.profiling.analysis.flame import folded_stacks, render_folded
 from repro.profiling.analysis.roofline import pct_of_peak, roofline_attribution
 from repro.profiling.analysis.schema import load_profile_json
-from repro.profiling.kernel_report import (
-    format_metric_kernel_table,
-    kernel_rows_from_metrics,
-)
-from repro.profiling.profiler import PhaseProfiler
+from repro.profiling.profiler import PHASES, PhaseProfiler
 from repro.simtime import VirtualClock
 
 
-def _train_run(out_dir, seed=0, fastpath=True):
+#: Three sites, as in the resilience smoke plan.
+FAULT_PLAN = {
+    "seed": 42,
+    "faults": [
+        {"site": "storage.read", "kind": "error", "at": 1, "severity": 0.5},
+        {"site": "transfer.h2d", "kind": "stall", "at": 2,
+         "stall_seconds": 0.01},
+        {"site": "sampler.worker", "kind": "crash", "at": 1, "severity": 0.5},
+    ],
+}
+
+
+def _train_run(out_dir, seed=0, fastpath=True, fault_plan=None):
     return run_training_experiment(
         "dglite", "ppi", "graphsage", epochs=2,
         representative_batches=2, seed=seed, telemetry_dir=str(out_dir),
-        fastpath=fastpath,
+        fastpath=fastpath, placement="cpugpu" if fault_plan else "cpu",
+        num_workers=2 if fault_plan else 0, fault_plan=fault_plan,
     )
 
 
@@ -52,6 +63,14 @@ def _train_run(out_dir, seed=0, fastpath=True):
 def analyzed_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("profiled")
     _train_run(out)
+    payload = analyze_run_dir(out)
+    return out, payload
+
+
+@pytest.fixture(scope="module")
+def faulted_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("faulted")
+    _train_run(out, fault_plan=FAULT_PLAN)
     payload = analyze_run_dir(out)
     return out, payload
 
@@ -280,22 +299,65 @@ class TestAnalyzeEndToEnd:
         assert total == payload["flame"]["total_micros"]
         assert len(text.splitlines()) == payload["flame"]["stacks"]
 
-    def test_byte_identical_across_same_seed_runs(self, analyzed_run, tmp_path):
-        out, _ = analyzed_run
+    @staticmethod
+    def _assert_rerun_identical(run, tmp_path, fault_plan=None):
+        out, payload = run
+        section = payload["run"]
+        assert "training" in section["phases"]
+        assert set(section["phases"]) <= set(PHASES)
+        assert section["energy"]["total_joules"] > 0
+        assert section["fastpath"]
+        assert bool(section["faults"]) == (fault_plan is not None)
         rerun = tmp_path / "rerun"
-        _train_run(rerun)
+        _train_run(rerun, fault_plan=fault_plan)
         analyze_run_dir(rerun)
         assert (rerun / "profile.json").read_bytes() \
             == (out / "profile.json").read_bytes()
         assert (rerun / "flame.folded").read_bytes() \
             == (out / "flame.folded").read_bytes()
 
+    def test_byte_identical_across_same_seed_runs(self, analyzed_run,
+                                                  tmp_path):
+        self._assert_rerun_identical(analyzed_run, tmp_path)
+
+    def test_byte_identical_across_same_seed_fault_plan_runs(self,
+                                                             faulted_run,
+                                                             tmp_path):
+        self._assert_rerun_identical(faulted_run, tmp_path, FAULT_PLAN)
+
+    def test_run_sections_match_manifest(self, faulted_run):
+        out, payload = faulted_run
+        manifest = load_run_bundle(out).manifest
+        section = payload["run"]
+        assert section["phases"] == manifest["phases"]
+        assert section["phase_fractions"] == manifest["phase_fractions"]
+        assert section["energy"] == manifest["energy"]
+        assert sorted(section["faults"]) == ["sampler.worker", "storage.read",
+                                             "transfer.h2d"]
+        for counts in section["faults"].values():
+            assert counts["injected"] == 1
+            assert counts["recovered"] == 1
+
     def test_report_renders(self, analyzed_run):
         _, payload = analyzed_run
         text = format_profile_report(payload)
-        assert "critical path:" in text
+        for phase in PHASES:
+            assert f"phase {phase}: " in text
+        for rail in ("cpu", "gpu"):
+            assert f"energy {rail}: p50 " in text
+        assert "fast-path csr_reuse: " in text
+        assert "faults " not in text
+        assert text.index("fast-path") < text.index("critical path:")
         assert "roofline:" in text
         assert "flamegraph:" in text
+
+    def test_report_prints_one_fault_line_per_site(self, faulted_run):
+        _, payload = faulted_run
+        lines = [line for line in format_profile_report(payload).splitlines()
+                 if line.startswith("faults ")]
+        assert [line.split(":")[0] for line in lines] == [
+            "faults sampler.worker", "faults storage.read",
+            "faults transfer.h2d"]
 
     def test_missing_dir_raises_benchmark_error(self, tmp_path):
         with pytest.raises(BenchmarkError, match="not a telemetry directory"):
@@ -373,38 +435,6 @@ class TestSchema:
 
 
 # ----------------------------------------------------------------------
-# kernel report (satellite: --top / --sort)
-# ----------------------------------------------------------------------
-class TestKernelRows:
-    def _metrics(self, analyzed_run):
-        out, _ = analyzed_run
-        return load_run_bundle(out).metric_records
-
-    def test_sort_virtual_descending(self, analyzed_run):
-        rows = kernel_rows_from_metrics(self._metrics(analyzed_run))
-        seconds = [row["seconds"] for row in rows]
-        assert seconds == sorted(seconds, reverse=True)
-
-    def test_sort_flops_and_top(self, analyzed_run):
-        rows = kernel_rows_from_metrics(self._metrics(analyzed_run),
-                                        sort="flops", top=3)
-        assert len(rows) == 3
-        assert rows[0]["kernel"] == "matmul.bwd"
-        flops = [row["flops"] for row in rows]
-        assert flops == sorted(flops, reverse=True)
-
-    def test_unknown_sort_raises(self):
-        with pytest.raises(ValueError, match="unknown sort axis"):
-            kernel_rows_from_metrics([], sort="wall")
-
-    def test_table_renders(self, analyzed_run):
-        rows = kernel_rows_from_metrics(self._metrics(analyzed_run), top=2)
-        table = format_metric_kernel_table(rows, sort="virtual")
-        assert "sorted by virtual" in table
-        assert len(table.splitlines()) == 5  # title + header + rule + 2 rows
-
-
-# ----------------------------------------------------------------------
 # bench-gate attribution hints
 # ----------------------------------------------------------------------
 class TestGateHints:
@@ -461,10 +491,34 @@ class TestCli:
                          "--out", str(dest)]) == 0
         assert validate_profile_payload(load_profile_json(dest)) == []
 
-    def test_report_top_sort_flags(self, analyzed_run, capsys):
+    def test_report_telemetry_option_is_gone(self, analyzed_run, capsys):
         out, _ = analyzed_run
-        assert cli_main(["report", "--telemetry", str(out),
-                         "--top", "2", "--sort", "bytes"]) == 0
-        text = capsys.readouterr().out
-        assert "sorted by bytes" in text
-        assert "matmul.bwd" in text
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["report", "--telemetry", str(out)])
+        assert excinfo.value.code == 2
+
+
+ARTIFACTS = ("run.json", "events.jsonl", "trace.json", "metrics.prom")
+
+
+@pytest.mark.parametrize("damage", ["missing", "junk line"])
+@pytest.mark.parametrize("artifact", ARTIFACTS)
+def test_analyze_rejects_damaged_artifact(artifact, damage, analyzed_run,
+                                          tmp_path, capsys):
+    """Each of the four artifacts goes through its validator: a missing
+    file or one junk line makes `profile analyze` exit 1, naming it."""
+    src, _ = analyzed_run
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    for name in ARTIFACTS:
+        (bundle / name).write_bytes((src / name).read_bytes())
+    if damage == "missing":
+        (bundle / artifact).unlink()
+    else:
+        with open(bundle / artifact, "a") as fh:
+            fh.write("this is not telemetry\n")
+    assert cli_main(["profile", "analyze", str(bundle)]) == 1
+    message = capsys.readouterr().out
+    assert message.startswith("repro profile: ")
+    assert f"{artifact}: " in message
+    assert not (bundle / "profile.json").exists()

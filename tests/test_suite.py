@@ -9,6 +9,7 @@ from repro.bench import suite
 from repro.bench.suite import run_suite, run_suite_file, save_results
 from repro.cli import main
 from repro.errors import BenchmarkError
+from repro.frameworks import Framework
 
 SMALL_SUITE = [
     {"kind": "loader", "framework": "dglite", "dataset": "ppi"},
@@ -90,6 +91,32 @@ class TestRunSuite:
         assert a["label"] == "DGL-CPUGPU"
         assert b["label"].endswith("+pipe4")
         assert b["total_time"] != a["total_time"]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "loader", "framework": "tf", "dataset": "ppi"},
+     "unknown framework 'tf'"),
+    ({"kind": "conv", "framework": "dglite", "dataset": "ppi",
+      "conv": "bogus"},
+     "unknown conv kind 'bogus'"),
+])
+def test_bad_value_exits_2_before_loading(spec, message, monkeypatch,
+                                          tmp_path, capsys):
+    loads = []
+    monkeypatch.setattr(Framework, "load",
+                        lambda self, *args, **kwargs: loads.append(args))
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([spec]))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["suite", str(path)])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro suite: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert loads == []
 
 
 class TestPersistence:

@@ -5,8 +5,9 @@ the metrics registry (counter/gauge/histogram semantics), every exporter
 (JSONL events, Prometheus text, merged Chrome trace) against its schema
 validator, manifest byte-determinism under a fixed seed, the legacy
 ``PhaseProfiler`` equivalence bar (span-tree rollup == flat profiler
-within 1e-9), power percentile stats, the device-lane determinism fix in
-``repro.profiling.trace``, and the CLI ``--telemetry`` paths.
+within 1e-9), power percentile stats, the device-lane determinism of
+``telemetry.exporters.device_trace_events``, and the CLI ``--telemetry``
+path.
 """
 
 import json
@@ -18,7 +19,6 @@ from repro.cli import main as cli_main
 from repro.power.meter import PowerSample
 from repro.power.monitor import EnergyReport
 from repro.profiling.profiler import PHASES, PhaseProfiler
-from repro.profiling.trace import summarize_trace, trace_events, write_trace
 from repro.simtime import VirtualClock
 from repro.telemetry import (
     PHASE_CATEGORY,
@@ -32,6 +32,7 @@ from repro.telemetry import runtime as telemetry_runtime
 from repro.telemetry.exporters import (
     DEVICE_PID,
     SPAN_PID,
+    device_trace_events,
     event_records,
     merged_trace_events,
     read_events_jsonl,
@@ -300,7 +301,7 @@ class TestPowerStats:
 
 
 # ---------------------------------------------------------------------------
-# device-lane trace (profiling/trace.py)
+# device-lane trace (telemetry.exporters.device_trace_events)
 
 
 class TestDeviceTrace:
@@ -311,30 +312,21 @@ class TestDeviceTrace:
         return clock
 
     def test_lane_ids_deterministic_regardless_of_first_seen_order(self):
-        a = {e["cat"]: e["tid"] for e in trace_events(self._clock(
+        a = {e["cat"]: e["tid"] for e in device_trace_events(self._clock(
             ["xeon-cpu", "pcie", "storage", "a100-gpu"])) if e["ph"] == "X"}
-        b = {e["cat"]: e["tid"] for e in trace_events(self._clock(
+        b = {e["cat"]: e["tid"] for e in device_trace_events(self._clock(
             ["storage", "a100-gpu", "pcie", "xeon-cpu"])) if e["ph"] == "X"}
         assert a == b
         assert a["storage"] == 0
         assert a["pcie"] == 1
 
     def test_thread_name_metadata_for_every_lane(self):
-        events = trace_events(self._clock(["storage", "gpu0"]))
+        events = device_trace_events(self._clock(["storage", "gpu0"]))
         lanes = {e["tid"] for e in events if e["ph"] == "X"}
         named = {e["tid"]: e["args"]["name"] for e in events
                  if e["ph"] == "M" and e["name"] == "thread_name"}
         assert lanes <= set(named)
         assert named[0] == "storage"
-
-    def test_write_trace_and_summarize(self, tmp_path):
-        clock = self._clock(["storage", "pcie"])
-        path = write_trace(clock, tmp_path / "t.json")
-        payload = json.loads(path.read_text())
-        assert validate_chrome_trace(payload) == []
-        summary = summarize_trace(clock)
-        assert summary["device_busy"]["storage"] == pytest.approx(0.5)
-        assert summary["top_tags"][0]["seconds"] == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +473,3 @@ class TestCli:
         assert (out / "run.json").exists()
         assert "telemetry:" in capsys.readouterr().out
         assert validate_run_dir(out) == []
-
-    def test_report_telemetry_summary(self, tmp_path, capsys):
-        out = tmp_path / "t"
-        cli_main(["train", "--dataset", "ppi", "--epochs", "1",
-                  "--telemetry", str(out)])
-        capsys.readouterr()
-        assert cli_main(["report", "--telemetry", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "telemetry bundle OK" in text
-        assert "p95" in text
-
-    def test_report_telemetry_rejects_invalid_dir(self, tmp_path, capsys):
-        (tmp_path / "run.json").write_text("{}")
-        assert cli_main(["report", "--telemetry", str(tmp_path)]) == 1
-        assert "schema problem" in capsys.readouterr().out
